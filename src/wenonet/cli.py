@@ -260,28 +260,10 @@ def cmd_train(args) -> int:
 
 def cmd_select(args) -> int:
     rows, _ = analysis.parse_report(Path(args.registry))
-    if not rows:
-        raise ValueError(f"registry {args.registry} holds no models")
-    if args.criterion not in train.SELECTION_CRITERIA:
-        raise ValueError(
-            f"unknown criterion {args.criterion!r}; expected one of "
-            f"{train.SELECTION_CRITERIA}"
-        )
-    keyed = [
-        (
-            train.selection_primary(
-                args.criterion,
-                order_g=float(r["order_g"]),
-                order_h=float(r["order_h"]),
-                recon_loss=float(r["recon_loss"]),
-                dev_loss=float(r["dev_loss"]),
-            ),
-            float(r["recon_loss"]),
-            i,
-        )
-        for i, r in enumerate(rows)
-    ]
-    best = min(range(len(rows)), key=lambda i: keyed[i])
+    keys = ("order_g", "order_h", "recon_loss", "dev_loss")
+    best = train.select_index(
+        [[float(r[k]) for k in keys] for r in rows], args.criterion
+    )
     print(rows[best]["model_id"])
     return 0
 

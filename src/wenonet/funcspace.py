@@ -13,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "FunctionSpec",
-    "TrainSample",
     "DatasetConfig",
     "Dataset",
     "TRAIN_FAMILIES",
@@ -156,15 +155,6 @@ class FunctionSpec:
 
 
 @dataclass(frozen=True)
-class TrainSample:
-    """One (stencil, exact interface value) pair and its source grid size."""
-
-    ubar: tuple[float, float, float]
-    target: float
-    nx: int
-
-
-@dataclass(frozen=True)
 class DatasetConfig:
     nx_values: tuple[int, ...] = DEFAULT_NX_VALUES
     pairs_per_grid: int = DEFAULT_PAIRS_PER_GRID
@@ -201,9 +191,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.target)
-
-    def __getitem__(self, i: int) -> TrainSample:
-        return TrainSample(tuple(self.ubar[i]), float(self.target[i]), int(self.nx[i]))
 
     def save_csv(self, path) -> None:
         cols = np.column_stack([self.ubar, self.target, self.nx.astype(float)])

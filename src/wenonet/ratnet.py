@@ -4,12 +4,15 @@ The network is tiny by design: four per-feature (3,2)-rational featurizers, a
 stack of dense layers with one shared (3,2)-rational activation each, and a
 two-way softmax head.  A hard-threshold filter restores the
 essentially-non-oscillatory property at inference time.
+
+``forward`` (which can record a tape) and ``backward`` (reverse mode by hand)
+are the network's only forward and backward passes.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +30,9 @@ __all__ = [
     "FEATURE_COUNT",
     "rational_eval",
     "delta_features",
-    "delta_baseline_features",
     "rational_features",
     "forward",
+    "backward",
     "eno_filter",
     "nn_reconstruct",
     "fit_relu_rational",
@@ -104,9 +107,11 @@ class NetParams:
     c_eno: float = C_ENO_DEFAULT
 
 
-def _rational_terms(c: RationalCoeffs, x):
-    """Numerator, raw denominator, and guarded denominator at x (Horner)."""
-    p, q = c.p, c.q
+def _rational_terms(p, q, x):
+    """Numerator, raw denominator, and guarded denominator at x (Horner).
+
+    Coefficients ascend along axis 0 and each broadcasts against ``x``.
+    """
     num = ((p[3] * x + p[2]) * x + p[1]) * x + p[0]
     den_raw = (q[2] * x + q[1]) * x + q[0]
     return num, den_raw, np.abs(den_raw) + DENOM_GUARD
@@ -114,7 +119,7 @@ def _rational_terms(c: RationalCoeffs, x):
 
 def rational_eval(c: RationalCoeffs, x):
     """p(x) / (|q(x)| + guard); total for every finite input."""
-    num, _, den = _rational_terms(c, x)
+    num, _, den = _rational_terms(c.p, c.q, x)
     return num / den
 
 
@@ -124,28 +129,28 @@ def delta_features(stencils):
     The four entries are |u0-um1|, |up1-u0|, |up1-um1| and the absolute
     second difference; all are invariant to adding a constant to the stencil.
     """
+    return np.stack(_deltas(stencils), axis=-1)
+
+
+def _deltas(stencils):
+    """The four entries of ``delta_features`` as separate contiguous arrays."""
     s = np.asarray(stencils, dtype=float)
     um1, u0, up1 = s[..., 0], s[..., 1], s[..., 2]
-    return np.stack(
-        [
-            np.abs(u0 - um1),
-            np.abs(up1 - u0),
-            np.abs(up1 - um1),
-            np.abs(up1 - 2.0 * u0 + um1),
-        ],
-        axis=-1,
-    )
+    return [
+        np.abs(u0 - um1),
+        np.abs(up1 - u0),
+        np.abs(up1 - um1),
+        np.abs(up1 - 2.0 * u0 + um1),
+    ]
 
 
-def delta_baseline_features(stencils, eps: float = 1e-15):
-    """Delta featurization of the Swish-activation baseline model.
-
-    Each difference is normalized by max of the two one-sided differences,
-    guarded by ``eps``.
-    """
-    d = delta_features(stencils)
-    denom = np.maximum(np.maximum(d[..., 0], d[..., 1]), eps)
-    return d / denom[..., None]
+def _features(deltas, feat: list[RationalCoeffs]):
+    """Unit-normalized feature rationals of ``deltas``, zero-row mask, divisor."""
+    alpha = np.stack([rational_eval(c, d) for c, d in zip(feat, deltas)], axis=-1)
+    norm = np.linalg.norm(alpha, axis=-1, keepdims=True)
+    small = norm < 1e-14
+    safe = np.where(small, 1.0, norm)
+    return np.where(small, 0.0, alpha / safe), small, safe
 
 
 def rational_features(stencils, feat: list[RationalCoeffs]):
@@ -154,13 +159,7 @@ def rational_features(stencils, feat: list[RationalCoeffs]):
     Rows whose pre-normalization Euclidean norm is below 1e-14 map to the
     zero vector.
     """
-    d = delta_features(stencils)
-    alpha = np.stack(
-        [rational_eval(feat[j], d[..., j]) for j in range(FEATURE_COUNT)], axis=-1
-    )
-    norm = np.linalg.norm(alpha, axis=-1, keepdims=True)
-    safe = np.where(norm < 1e-14, 1.0, norm)
-    return np.where(norm < 1e-14, 0.0, alpha / safe)
+    return _features(_deltas(stencils), feat)[0]
 
 
 def _softmax(z):
@@ -169,14 +168,80 @@ def _softmax(z):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def forward(params: NetParams, stencils):
-    """Pre-threshold stencil weights, shape (..., 2); rows sum to one."""
-    a = rational_features(stencils, params.feat)
+def forward(params: NetParams, stencils, tape: list | None = None):
+    """Pre-threshold stencil weights, shape (..., 2); rows sum to one.
+
+    Given a list as ``tape``, each stage also appends what ``backward`` needs:
+    the deltas, the normalization's output, mask and divisor, each dense
+    layer's input and pre-activation, and the head's input and output.
+    """
+    deltas = _deltas(stencils)
+    a, small, safe = _features(deltas, params.feat)
+    if tape is not None:
+        tape += [deltas, (a, small, safe)]
     for layer in params.layers:
         z = a @ layer.W.T + layer.b
+        if tape is not None:
+            tape.append((a, z))
         a = rational_eval(layer.act, z)
-    logits = a @ params.head_W.T + params.head_b
-    return _softmax(logits)
+    w = _softmax(a @ params.head_W.T + params.head_b)
+    if tape is not None:
+        tape.append((a, w))
+    return w
+
+
+def _rational_backward(p, q, x, upstream):
+    """Backprop through y = P(x)/(|Q(x)| + guard).
+
+    ``p``, ``q`` and ``x`` are as for ``_rational_terms``.  Returns dL/dx and
+    the coefficient gradients summed over x's last axis.  The |Q| kink uses
+    sign(0) = 0 as subgradient.
+    """
+    num, den_raw, den = _rational_terms(p, q, x)
+    inv_den = 1.0 / den
+    t_p = upstream * inv_den  # dL/dp_k is the sum of t_p * x**k
+    y_s = num * np.sign(den_raw) * inv_den
+    t_q = -t_p * y_s  # dL/dq_k is the sum of t_q * x**k
+    dnum = (3.0 * p[3] * x + 2.0 * p[2]) * x + p[1]
+    dx = t_p * (dnum - y_s * (2.0 * q[2] * x + q[1]))
+    x2 = x * x
+    dp = [t_p.sum(-1), (t_p * x).sum(-1), (t_p * x2).sum(-1), (t_p * x2 * x).sum(-1)]
+    dq = [t_q.sum(-1), (t_q * x).sum(-1), (t_q * x2).sum(-1)]
+    return dx, np.stack(dp), np.stack(dq)
+
+
+def backward(params: NetParams, tape: list, d_weights) -> np.ndarray:
+    """Gradient in ``params_to_vector`` order from a batch's ``forward`` tape.
+
+    ``tape`` is the list that ``forward(params, stencils, tape)`` filled for
+    stencils of shape (n, 3), and ``d_weights`` (n, 2) is the loss gradient
+    with respect to its output.  The tape is consumed.
+    """
+    a, w = tape.pop()
+    d_z = w * (d_weights - np.sum(d_weights * w, axis=1, keepdims=True))
+    head = [(d_z.T @ a).ravel(), d_z.sum(axis=0)]
+    d_a = d_z @ params.head_W
+
+    layers = []
+    for layer in reversed(params.layers):
+        a_in, z = tape.pop()
+        # one rational shared by every entry of z
+        act = layer.act
+        d_z, dp, dq = _rational_backward(act.p, act.q, z.ravel(), d_a.ravel())
+        d_z = d_z.reshape(z.shape)
+        layers = [(d_z.T @ a_in).ravel(), d_z.sum(axis=0), dp, dq] + layers
+        d_a = d_z @ layer.W
+
+    a, small, safe = tape.pop()
+    d_unit = d_a - a * np.sum(d_a * a, axis=1, keepdims=True)
+    d_alpha = np.where(small, 0.0, d_unit / safe)
+    # the four feature rationals in one call on the deltas stacked as rows,
+    # coefficients shaped (4 or 3, 4 features, 1) to broadcast along them
+    p = np.stack([c.p for c in params.feat], axis=1)[:, :, None]
+    q = np.stack([c.q for c in params.feat], axis=1)[:, :, None]
+    _, dp, dq = _rational_backward(p, q, np.stack(tape.pop()), d_alpha.T.copy())
+    feat = [g for j in range(FEATURE_COUNT) for g in (dp[:, j], dq[:, j])]
+    return np.concatenate(feat + layers + head)
 
 
 def eno_filter(weights, c_eno: float = C_ENO_DEFAULT):
@@ -217,10 +282,6 @@ class NNScheme:
     def __init__(self, params: NetParams, name: str = "weno3-nn"):
         self.params = params
         self.name = name
-
-    @property
-    def halo(self) -> int:
-        return 2
 
     def face_value(self, windows):
         return nn_reconstruct(self.params, windows)
@@ -404,56 +465,27 @@ def vector_to_params(
 
 
 # ---------------------------------------------------------------------------
-# weight files: JSON with every real printed to 17 significant digits so a
+# weight files: JSON whose reals are Python's shortest round-trip repr, so a
 # load/save round trip is bit-stable
-
-
-def _jdump(obj, indent: int = 0) -> str:
-    pad = " " * indent
-    if isinstance(obj, dict):
-        inner = ",\n".join(
-            f'{pad}  "{k}": {_jdump(v, indent + 2).lstrip()}' for k, v in obj.items()
-        )
-        return f"{pad}{{\n{inner}\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj):
-            return pad + "[" + ", ".join(_jreal(v) for v in obj) + "]"
-        inner = ",\n".join(_jdump(v, indent + 2) for v in obj)
-        return f"{pad}[\n{inner}\n{pad}]"
-    if isinstance(obj, bool):
-        return pad + ("true" if obj else "false")
-    if isinstance(obj, int):
-        return pad + str(obj)
-    if isinstance(obj, float):
-        return pad + _jreal(obj)
-    if isinstance(obj, str):
-        return pad + json.dumps(obj)
-    raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-def _jreal(v) -> str:
-    if isinstance(v, int) and not isinstance(v, bool):
-        return str(v)
-    return format(float(v), ".17g")
 
 
 def params_to_json(params: NetParams) -> str:
     doc = {
         "format_version": WEIGHT_FORMAT_VERSION,
-        "arch": list(params.arch),
+        "arch": [int(n) for n in params.arch],
         "c_eno": float(params.c_eno),
-        "feat": [{"p": list(c.p), "q": list(c.q)} for c in params.feat],
+        "feat": [{"p": c.p.tolist(), "q": c.q.tolist()} for c in params.feat],
         "layers": [
             {
-                "W": [list(row) for row in layer.W],
-                "b": list(layer.b),
-                "act": {"p": list(layer.act.p), "q": list(layer.act.q)},
+                "W": layer.W.tolist(),
+                "b": layer.b.tolist(),
+                "act": {"p": layer.act.p.tolist(), "q": layer.act.q.tolist()},
             }
             for layer in params.layers
         ],
-        "head": {"W": [list(row) for row in params.head_W], "b": list(params.head_b)},
+        "head": {"W": params.head_W.tolist(), "b": params.head_b.tolist()},
     }
-    return _jdump(doc) + "\n"
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def _field(doc: dict, name: str):

@@ -52,16 +52,6 @@ def reconstruct_minus(um1, u0, up1, w0, w1):
     return w0 * i0 + w1 * i1
 
 
-def reconstruct_plus(u0, up1, up2, weight_rule=weno3_js_weights):
-    """Plus-side value at face i+1/2 from (u_i, u_{i+1}, u_{i+2}).
-
-    Mirror of the minus side: plus(a, b, c) == minus(c, b, a) under the same
-    weight rule.
-    """
-    w0, w1 = weight_rule(up2, up1, u0)
-    return reconstruct_minus(up2, up1, u0, w0, w1)
-
-
 def quick(um1, u0, up1):
     """QUICK face value in upwind cell-average form."""
     return (3.0 * up1 + 6.0 * u0 - um1) / 8.0
@@ -88,10 +78,6 @@ class _Scheme3:
     """Base for 3-cell schemes; subclasses supply the weight rule."""
 
     width = 3
-
-    @property
-    def halo(self) -> int:
-        return (self.width + 1) // 2
 
     def _cols(self, windows):
         w = np.asarray(windows, dtype=float)
@@ -152,10 +138,6 @@ class Weno5JS:
         if eps <= 0:
             raise ValueError("eps must be positive")
         self.eps = eps
-
-    @property
-    def halo(self) -> int:
-        return (self.width + 1) // 2
 
     def face_value(self, windows):
         w = np.asarray(windows, dtype=float)

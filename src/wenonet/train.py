@@ -1,15 +1,14 @@
-"""Offline training: loss with analytic gradients, Adam, sweeps, model selection.
+"""Offline training: loss over ``ratnet.forward``/``backward``, Adam, sweeps, selection.
 
-Gradients are reverse-mode by hand; the network is small enough that explicit
-backprop through the softmax head, dense layers, guarded rationals, and the
-feature normalization stays short and checkable against finite differences.
+The loss is written once, on the network's output weights; its gradient with
+respect to them is handed to ``ratnet.backward``, which owns every layer.
 """
 
 from __future__ import annotations
 
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,13 +24,12 @@ from .funcspace import (
 from .ratnet import (
     C_ENO_DEFAULT,
     DEFAULT_ARCH,
-    DENOM_GUARD,
-    FEATURE_COUNT,
     NetParams,
     NNScheme,
+    backward,
+    forward,
     init_params,
     params_to_vector,
-    rational_eval,
     vector_to_params,
 )
 from .reconstruct import IDEAL_WEIGHTS3, interpolants3
@@ -45,7 +43,6 @@ __all__ = [
     "DEFAULT_SWEEP_ALPHAS",
     "DEFAULT_SWEEP_BETA_D",
     "DEFAULT_SWEEP_PEAK_LR",
-    "selection_primary",
     "gamma",
     "loss_and_grad",
     "evaluate_losses",
@@ -55,6 +52,7 @@ __all__ = [
     "interpolation_error",
     "evaluate_orders",
     "convergence_order",
+    "select_index",
     "select_model",
     "sweep_grid",
     "run_sweep",
@@ -130,28 +128,29 @@ def gamma(stencils, eps_gamma: float = 1e-15):
     return np.minimum(num / den, 1.0)
 
 
-def _rational_backward(coeffs, x, upstream):
-    """Backprop through y = P(x)/(|Q(x)| + guard).
+def _loss_terms(w, s, y, hyper: LossHyper):
+    """L_r, L_d, and the gradient of ``L_r + beta_d * L_d`` with respect to ``w``.
 
-    Returns dL/dx of x's shape plus coefficient gradients summed over the
-    batch.  The |Q| kink uses sign(0) = 0 as subgradient.
+    ``w`` holds the network's pre-threshold weights (n, 2) on stencils ``s``
+    (n, 3) whose exact face values are ``y``.
     """
-    p, q = coeffs.p, coeffs.q
-    x2 = x * x
-    x3 = x2 * x
-    num = p[0] + p[1] * x + p[2] * x2 + p[3] * x3
-    den_raw = q[0] + q[1] * x + q[2] * x2
-    den = np.abs(den_raw) + DENOM_GUARD
-    sgn = np.sign(den_raw)
-    dnum = p[1] + 2.0 * p[2] * x + 3.0 * p[3] * x2
-    dden = q[1] + 2.0 * q[2] * x
-    inv_den = 1.0 / den
-    dx = upstream * (dnum - num * sgn * dden * inv_den) * inv_den
-    t_p = upstream * inv_den
-    t_q = -t_p * num * sgn * inv_den
-    dp = np.array([np.sum(t_p), np.sum(t_p * x), np.sum(t_p * x2), np.sum(t_p * x3)])
-    dq = np.array([np.sum(t_q), np.sum(t_q * x), np.sum(t_q * x2)])
-    return dx, dp, dq
+    n = len(y)
+    if n == 0:
+        raise ValueError("empty batch")
+    i0, i1 = interpolants3(s[:, 0], s[:, 1], s[:, 2])
+    resid = w[:, 0] * i0 + w[:, 1] * i1 - y
+    if not np.all(np.isfinite(resid)):
+        bad = int(np.argmin(np.isfinite(resid)))
+        raise RuntimeError(f"non-finite loss contribution at sample {bad}")
+
+    g = np.power(gamma(s, hyper.eps_gamma), hyper.alpha)
+    loss_r = float(np.mean(g * resid**2))
+    dev = w - _IDEAL
+    loss_d = float(np.mean((1.0 - g) * np.sum(dev**2, axis=1)))
+
+    d_w = (2.0 / n) * (g * resid)[:, None] * np.stack([i0, i1], axis=1)
+    d_w += hyper.beta_d * (2.0 / n) * (1.0 - g)[:, None] * dev
+    return loss_r, loss_d, d_w
 
 
 def loss_and_grad(params: NetParams, stencils, targets, hyper: LossHyper):
@@ -163,105 +162,21 @@ def loss_and_grad(params: NetParams, stencils, targets, hyper: LossHyper):
     """
     s = np.asarray(stencils, dtype=float)
     y = np.asarray(targets, dtype=float)
-    n = len(y)
-    if n == 0:
-        raise ValueError("empty batch")
-
-    # forward, keeping intermediates; the four feature rationals evaluate as
-    # one broadcast site with coefficients stacked column-wise
-    um1, u0, up1 = s[:, 0], s[:, 1], s[:, 2]
-    deltas = np.stack(
-        [
-            np.abs(u0 - um1),
-            np.abs(up1 - u0),
-            np.abs(up1 - um1),
-            np.abs(up1 - 2.0 * u0 + um1),
-        ],
-        axis=1,
-    )
-    feat_p = np.stack([c.p for c in params.feat], axis=1)  # (4 coeffs, 4 features)
-    feat_q = np.stack([c.q for c in params.feat], axis=1)
-    d2 = deltas * deltas
-    d3 = d2 * deltas
-    f_num = feat_p[0] + feat_p[1] * deltas + feat_p[2] * d2 + feat_p[3] * d3
-    f_den_raw = feat_q[0] + feat_q[1] * deltas + feat_q[2] * d2
-    f_den = np.abs(f_den_raw) + DENOM_GUARD
-    alpha = f_num / f_den
-    norm = np.linalg.norm(alpha, axis=1, keepdims=True)
-    valid = norm >= 1e-14
-    safe = np.where(valid, norm, 1.0)
-    a0 = np.where(valid, alpha / safe, 0.0)
-
-    acts = [a0]
-    zs = []
-    a = a0
-    for layer in params.layers:
-        z = a @ layer.W.T + layer.b
-        zs.append(z)
-        a = rational_eval(layer.act, z)
-        acts.append(a)
-    logits = a @ params.head_W.T + params.head_b
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expz = np.exp(shifted)
-    w = expz / expz.sum(axis=1, keepdims=True)
-
-    i0, i1 = interpolants3(um1, u0, up1)
-    u_nn = w[:, 0] * i0 + w[:, 1] * i1
-    resid = u_nn - y
-    if not np.all(np.isfinite(resid)):
-        bad = int(np.argmin(np.isfinite(resid)))
-        raise RuntimeError(f"non-finite loss contribution at sample {bad}")
-
-    g = np.power(gamma(s, hyper.eps_gamma), hyper.alpha)
-    loss_r = float(np.mean(g * resid**2))
-    dev = w - _IDEAL
-    loss_d = float(np.mean((1.0 - g) * np.sum(dev**2, axis=1)))
+    tape = []
+    loss_r, loss_d, d_w = _loss_terms(forward(params, s, tape), s, y, hyper)
     theta = params_to_vector(params)
     loss_l2 = float(np.sum(theta**2))
     loss = loss_r + hyper.beta_d * loss_d + hyper.beta_w * loss_l2
-
-    # backward
-    d_w = (2.0 / n) * (g * resid)[:, None] * np.stack([i0, i1], axis=1)
-    d_w += hyper.beta_d * (2.0 / n) * (1.0 - g)[:, None] * dev
-    d_z = w * (d_w - np.sum(d_w * w, axis=1, keepdims=True))
-    g_head_W = d_z.T @ acts[-1]
-    g_head_b = d_z.sum(axis=0)
-    d_a = d_z @ params.head_W
-
-    layer_grads = []
-    for layer, z, a_in in zip(reversed(params.layers), reversed(zs), reversed(acts[:-1])):
-        d_zl, dp_act, dq_act = _rational_backward(layer.act, z, d_a)
-        layer_grads.append((d_zl.T @ a_in, d_zl.sum(axis=0), dp_act, dq_act))
-        d_a = d_zl @ layer.W
-    layer_grads.reverse()
-
-    d_alpha = np.where(
-        valid, (d_a - a0 * np.sum(d_a * a0, axis=1, keepdims=True)) / safe, 0.0
-    )
-    f_inv = 1.0 / f_den
-    t_p = d_alpha * f_inv  # (n, 4)
-    t_q = -t_p * f_num * np.sign(f_den_raw) * f_inv
-    dp_feat = np.stack(
-        [t_p.sum(0), (t_p * deltas).sum(0), (t_p * d2).sum(0), (t_p * d3).sum(0)]
-    )  # (4 coeffs, 4 features)
-    dq_feat = np.stack([t_q.sum(0), (t_q * deltas).sum(0), (t_q * d2).sum(0)])
-
-    chunks = []
-    for j in range(FEATURE_COUNT):
-        chunks += [dp_feat[:, j], dq_feat[:, j]]
-    for g_W, g_b, dp, dq in layer_grads:
-        chunks += [g_W.ravel(), g_b, dp, dq]
-    chunks += [g_head_W.ravel(), g_head_b]
-    grad = np.concatenate(chunks) + 2.0 * hyper.beta_w * theta
-
+    grad = backward(params, tape, d_w) + 2.0 * hyper.beta_w * theta
     parts = {"loss_r": loss_r, "loss_d": loss_d, "loss_l2": loss_l2}
     return loss, grad, parts
 
 
 def evaluate_losses(params: NetParams, dataset: Dataset, hyper: LossHyper):
-    """Reconstruction and deviation losses over a whole dataset (no gradient)."""
-    loss, _, parts = loss_and_grad(params, dataset.ubar, dataset.target, hyper)
-    return parts["loss_r"], parts["loss_d"]
+    """Reconstruction and deviation losses over a whole dataset (forward pass only)."""
+    s, y = dataset.ubar, dataset.target
+    loss_r, loss_d, _ = _loss_terms(forward(params, s), s, y, hyper)
+    return loss_r, loss_d
 
 
 def lr_schedule(step: int, cfg: TrainConfig) -> float:
@@ -398,40 +313,40 @@ def convergence_order(points) -> float:
     return float(np.polyfit(log_dx, log_e, 1)[0])
 
 
-def selection_primary(
-    criterion: str, order_g: float, order_h: float, recon_loss: float, dev_loss: float
-) -> float:
-    """Primary ranking value (lower is better) for one model under a criterion."""
-    if criterion == "conv-sine-step":
-        return abs(order_h - 3.0)
-    if criterion == "conv-sin-cubed":
-        return abs(order_g - 3.0)
-    if criterion == "least-recon-loss":
-        return recon_loss
-    if criterion == "least-dev-loss":
-        return dev_loss
-    raise ValueError(f"unknown criterion {criterion!r}; expected {SELECTION_CRITERIA}")
+def select_index(rows, criterion: str) -> int:
+    """Index of the best ``(order_g, order_h, recon_loss, dev_loss)`` row.
 
+    The criterion's value is minimized: the distance of the sin-cubed or
+    sine-step order from 3, or a validation loss.  Ties fall to the lower
+    reconstruction loss, then to the lower index.
+    """
+    if criterion not in SELECTION_CRITERIA:
+        raise ValueError(
+            f"unknown criterion {criterion!r}; expected {SELECTION_CRITERIA}"
+        )
+    if not rows:
+        raise ValueError("no models to select from")
 
-def _selection_primary(model: TrainedModel, criterion: str) -> float:
-    return selection_primary(
-        criterion,
-        order_g=model.orders["sine_cubed"],
-        order_h=model.orders["sine_step"],
-        recon_loss=model.recon_loss,
-        dev_loss=model.dev_loss,
-    )
+    def key(i):
+        order_g, order_h, recon_loss, dev_loss = rows[i]
+        primary = {
+            "conv-sine-step": abs(order_h - 3.0),
+            "conv-sin-cubed": abs(order_g - 3.0),
+            "least-recon-loss": recon_loss,
+            "least-dev-loss": dev_loss,
+        }[criterion]
+        return primary, recon_loss, i
+
+    return min(range(len(rows)), key=key)
 
 
 def select_model(models: list[TrainedModel], criterion: str) -> TrainedModel:
-    """Pick by the criterion; ties fall to lower reconstruction loss, then index."""
-    if not models:
-        raise ValueError("no models to select from")
-    best = min(
-        range(len(models)),
-        key=lambda i: (_selection_primary(models[i], criterion), models[i].recon_loss, i),
-    )
-    chosen = models[best]
+    """Pick by the criterion with ``select_index``'s ranking and tie-breaks."""
+    rows = [
+        (m.orders["sine_cubed"], m.orders["sine_step"], m.recon_loss, m.dev_loss)
+        for m in models
+    ]
+    chosen = models[select_index(rows, criterion)]
     chosen.selection_tag = criterion
     return chosen
 

@@ -179,14 +179,6 @@ def test_dataset_csv_roundtrip(tmp_path):
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
-def test_train_sample_row_access():
-    ds = fs.build_dataset(fs.DatasetConfig(nx_values=(16,), pairs_per_grid=32, seed=0))
-    sample = ds[5]
-    assert isinstance(sample, fs.TrainSample)
-    assert sample.nx == 16
-    assert min(sample.ubar) <= sample.target <= max(sample.ubar)
-
-
 def test_philox_streams_are_independent_and_stable():
     a = fs.philox_rng(9, 4).uniform(size=3)
     b = fs.philox_rng(9, 4).uniform(size=3)

@@ -1,0 +1,88 @@
+"""Golden regression: pinned outputs that a refactor must reproduce.
+
+A quicker witness than the acceptance gate for "same behaviour": the network's
+inference bits on fixed stencils, the final L1 error of every scheme on two
+solves at nx 64, and a short fixed-seed training run.  The reference values
+were recorded before the network's forward and backward passes were merged
+into ``ratnet`` (numpy 2.4.6, OpenBLAS), and the whole file runs in seconds.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from wenonet import cli
+from wenonet import funcspace as fs
+from wenonet import ratnet as rn
+from wenonet import solver as sv
+from wenonet import train as tr
+
+GOLDEN = json.loads((Path(__file__).parent / "golden.json").read_text())
+
+SCHEMES = ("weno3-js", "weno3-z", "weno5-js", "quick", "ideal3", "nn")
+PROBLEMS = ("advection-cosine", "burgers-shock")
+
+
+def golden_params():
+    return rn.init_params(rng=np.random.default_rng(0))
+
+
+def golden_stencils():
+    """Random stencils at magnitudes 1e-12 to 1e6, plus hand-picked edge rows."""
+    base = np.random.default_rng(20240917).normal(size=(40, 3))
+    edges = np.array(
+        [
+            [0.0, 0.0, 0.0],
+            [0.0, 1.0, 1.0],
+            [1.0, 1.0, 0.0],
+            [0.0, 1.0, 2.0],
+            [0.0, 0.0, 1e-300],
+            [1e6, 1e6 + 1.0, 1e6 + 2.0],
+        ]
+    )
+    return np.concatenate([scale * base for scale in (1e-12, 1e-3, 1.0, 1e6)] + [edges])
+
+
+def sha256(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a, dtype=float).tobytes()).hexdigest()
+
+
+def final_l1(problem: str, scheme: str) -> str:
+    prob = cli.PROBLEMS[problem](5.0, 0.4)
+    s = rn.NNScheme(golden_params()) if scheme == "nn" else cli.make_scheme(scheme)
+    return float.hex(sv.run(prob, sv.default_grid(prob, 64), s).final_error)
+
+
+def short_training():
+    ds = fs.build_dataset(
+        fs.DatasetConfig(nx_values=(16, 32), pairs_per_grid=512, seed=0)
+    )
+    cfg = tr.TrainConfig(
+        total_steps=300, warmup_steps=15, batch_size=256, seed=3, peak_lr=2e-3
+    )
+    return tr.train_model(ds, cfg, eval_grids=(16, 32, 64))
+
+
+def test_forward_and_nn_reconstruct_bits():
+    params, s = golden_params(), golden_stencils()
+    assert np.all(np.isfinite(rn.forward(params, s)))
+    assert sha256(rn.forward(params, s)) == GOLDEN["forward_sha256"]
+    assert sha256(rn.nn_reconstruct(params, s)) == GOLDEN["nn_reconstruct_sha256"]
+
+
+@pytest.mark.parametrize("problem", PROBLEMS)
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_final_l1_bits(problem, scheme):
+    assert final_l1(problem, scheme) == GOLDEN["final_l1"][problem][scheme]
+
+
+def test_short_training_run():
+    model = short_training()
+    theta = rn.params_to_vector(model.params)
+    ref = np.array(GOLDEN["train_theta"])
+    assert np.linalg.norm(theta - ref) <= 1e-12 * np.linalg.norm(ref)
+    for name, order in GOLDEN["train_orders"].items():
+        assert model.orders[name] == pytest.approx(order, abs=1e-10)

@@ -94,17 +94,6 @@ def test_spec_quadratic_example_unit_cells():
     assert got == pytest.approx(0.25, abs=1e-15)
 
 
-def test_reconstruct_plus_is_mirror():
-    assert rc.reconstruct_plus(5.0, 5.0, 5.0) == 5.0
-    assert rc.reconstruct_plus(0.0, 1.0, 2.0) == pytest.approx(0.5, abs=1e-15)
-    s = rng.normal(size=(1000, 3))
-    for rule in (rc.weno3_js_weights, rc.weno3_z_weights):
-        plus = rc.reconstruct_plus(s[:, 0], s[:, 1], s[:, 2], weight_rule=rule)
-        w0, w1 = rule(s[:, 2], s[:, 1], s[:, 0])
-        minus = rc.reconstruct_minus(s[:, 2], s[:, 1], s[:, 0], w0, w1)
-        assert np.array_equal(plus, minus)
-
-
 def test_quick_examples():
     assert rc.quick(1.0, 1.0, 1.0) == 1.0
     assert rc.quick(0.0, 1.0, 2.0) == 1.5
@@ -176,9 +165,10 @@ def test_eno_behavior_at_step():
 
 
 def test_scheme_objects_halo_and_vectorization():
-    assert rc.Weno3JS().halo == 2
-    assert rc.Quick().halo == 2
-    assert rc.Weno5JS().halo == 3
+    # the solver's halo is (width + 1) // 2
+    assert rc.Weno3JS().width == 3
+    assert rc.Quick().width == 3
+    assert rc.Weno5JS().width == 5
     windows = rng.normal(size=(10, 3))
     vals = rc.Weno3JS().face_value(windows)
     assert vals.shape == (10,)

@@ -89,7 +89,6 @@ def test_face_states_rejects_wide_stencil_on_small_grid():
     class Wide:
         name = "wide"
         width = 9
-        halo = 5
 
         def face_value(self, windows):
             return np.asarray(windows)[..., 4]
@@ -273,7 +272,6 @@ def test_run_reports_nan_abort():
     class Explode:
         name = "explode"
         width = 3
-        halo = 2
 
         def face_value(self, windows):
             out = np.asarray(windows[..., 1], dtype=float) * 1e155

@@ -104,6 +104,14 @@ def test_loss_rejects_empty_batch():
         tr.loss_and_grad(params, np.empty((0, 3)), np.empty(0), tr.LossHyper())
 
 
+def test_evaluate_losses_matches_loss_and_grad_parts():
+    params = noisy_params(2)
+    val = small_dataset(seed=4)
+    hyper = tr.LossHyper(alpha=0.1, beta_d=0.3)
+    _, _, parts = tr.loss_and_grad(params, val.ubar, val.target, hyper)
+    assert tr.evaluate_losses(params, val, hyper) == (parts["loss_r"], parts["loss_d"])
+
+
 def test_lr_schedule_shape():
     cfg = tr.TrainConfig(peak_lr=1e-3, warmup_steps=1000, total_steps=20000)
     assert tr.lr_schedule(0, cfg) == 0.0
