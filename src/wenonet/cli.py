@@ -10,6 +10,7 @@ rerunning reproduces data artifacts byte for byte.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import sys
@@ -81,6 +82,15 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
+@contextlib.contextmanager
+def _config_values(path: str | None):
+    """Report a config value of the wrong JSON type as a usage error."""
+    try:
+        yield
+    except TypeError as e:
+        raise ValueError(f"config file {path}: a value has the wrong type ({e})") from e
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -118,11 +128,12 @@ def cmd_gen_data(args) -> int:
         nx_values = [int(v) for v in args.nx_values.split(",")]
     pairs = args.pairs_per_grid or config.get("pairs_per_grid")
     seed = args.seed if args.seed is not None else config.get("seed", 0)
-    cfg = DatasetConfig(
-        nx_values=tuple(nx_values) if nx_values else DatasetConfig.nx_values,
-        pairs_per_grid=int(pairs) if pairs else DatasetConfig.pairs_per_grid,
-        seed=int(seed),
-    )
+    with _config_values(args.config):
+        cfg = DatasetConfig(
+            nx_values=tuple(nx_values) if nx_values else DatasetConfig.nx_values,
+            pairs_per_grid=int(pairs) if pairs else DatasetConfig.pairs_per_grid,
+            seed=int(seed),
+        )
     dataset = build_dataset(cfg)
     out = _out_dir(args)
     dataset.save_csv(out / "dataset.csv")
@@ -183,18 +194,20 @@ def cmd_train(args) -> int:
     t0 = time.perf_counter()
     config = _load_config(args.config)
     dataset = Dataset.load_csv(args.dataset)
-    configs = _train_configs(config, args)
-    declared = [
-        raw.get("criterion", "") for raw in config.get("configs", [])
-    ] or [""] * len(configs)
+    with _config_values(args.config):
+        configs = _train_configs(config, args)
+        declared = [
+            raw.get("criterion", "") for raw in config.get("configs", [])
+        ] or [""] * len(configs)
 
-    val_raw = config.get("val", {})
-    val_seed = int(val_raw.get("seed", (configs[0].seed + 1000003)))
-    val_cfg = DatasetConfig(
-        nx_values=tuple(val_raw.get("nx_values", sorted(set(map(int, np.unique(dataset.nx)))))),
-        pairs_per_grid=int(val_raw.get("pairs_per_grid", 4096)),
-        seed=val_seed,
-    )
+        val_raw = config.get("val", {})
+        val_seed = int(val_raw.get("seed", (configs[0].seed + 1000003)))
+        default_nx = sorted(set(map(int, np.unique(dataset.nx))))
+        val_cfg = DatasetConfig(
+            nx_values=tuple(val_raw.get("nx_values", default_nx)),
+            pairs_per_grid=int(val_raw.get("pairs_per_grid", 4096)),
+            seed=val_seed,
+        )
     val_dataset = build_dataset(val_cfg)
 
     models = train.run_sweep(dataset, configs, val_dataset, jobs=args.jobs)
@@ -258,21 +271,28 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _choice(name: str, valid, what: str) -> str:
+    """``name`` if it is one of ``valid``, else a ValueError listing them."""
+    if name not in valid:
+        choices = ", ".join(sorted(valid))
+        raise ValueError(f"unknown {what} {name!r}; choose one of: {choices}")
+    return name
+
+
 def cmd_select(args) -> int:
+    criterion = _choice(args.criterion, train.SELECTION_CRITERIA, "criterion")
     rows, _ = analysis.parse_report(Path(args.registry))
     keys = ("order_g", "order_h", "recon_loss", "dev_loss")
-    best = train.select_index(
-        [[float(r[k]) for k in keys] for r in rows], args.criterion
-    )
+    missing = [k for k in (*keys, "model_id") if rows and k not in rows[0]]
+    if missing:
+        raise ValueError(f"registry {args.registry} lacks columns {missing}")
+    best = train.select_index([[float(r[k]) for k in keys] for r in rows], criterion)
     print(rows[best]["model_id"])
     return 0
 
 
 def _resolve_problem(args) -> solver.Problem:
-    if args.problem not in PROBLEMS:
-        valid = ", ".join(sorted(PROBLEMS) + sorted(RECON_TARGETS))
-        raise ValueError(f"unknown problem {args.problem!r}; valid problems: {valid}")
-    return PROBLEMS[args.problem](args.T, args.cfl)
+    return PROBLEMS[_choice(args.problem, PROBLEMS, "problem")](args.T, args.cfl)
 
 
 def cmd_solve(args) -> int:
@@ -325,6 +345,7 @@ def cmd_converge(args) -> int:
     t0 = time.perf_counter()
     schemes = [make_scheme(name) for name in args.schemes.split(",")]
     nx_list = [int(v) for v in args.nx_list.split(",")]
+    _choice(args.problem, [*PROBLEMS, *RECON_TARGETS], "problem")
     if args.problem in RECON_TARGETS:
         target = eval_function(RECON_TARGETS[args.problem])
     else:
@@ -463,7 +484,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as e:
+    except (ValueError, OSError) as e:  # json.JSONDecodeError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RuntimeError as e:

@@ -29,7 +29,6 @@ __all__ = [
     "DEFAULT_ARCH",
     "FEATURE_COUNT",
     "rational_eval",
-    "delta_features",
     "rational_features",
     "forward",
     "backward",
@@ -123,34 +122,44 @@ def rational_eval(c: RationalCoeffs, x):
     return num / den
 
 
-def delta_features(stencils):
-    """Absolute finite differences of the stencil, shape (..., 4).
-
-    The four entries are |u0-um1|, |up1-u0|, |up1-um1| and the absolute
-    second difference; all are invariant to adding a constant to the stencil.
-    """
-    return np.stack(_deltas(stencils), axis=-1)
-
-
 def _deltas(stencils):
-    """The four entries of ``delta_features`` as separate contiguous arrays."""
+    """Absolute finite differences of the stencil, stacked first: shape (4, ...).
+
+    The four rows are |u0-um1|, |up1-u0|, |up1-um1| and the absolute second
+    difference; all are invariant to adding a constant to the stencil.
+    """
     s = np.asarray(stencils, dtype=float)
     um1, u0, up1 = s[..., 0], s[..., 1], s[..., 2]
-    return [
-        np.abs(u0 - um1),
-        np.abs(up1 - u0),
-        np.abs(up1 - um1),
-        np.abs(up1 - 2.0 * u0 + um1),
-    ]
+    return np.abs([u0 - um1, up1 - u0, up1 - um1, up1 - 2.0 * u0 + um1])
+
+
+def _feature_coeffs(feat: list[RationalCoeffs], ndim: int):
+    """The feature rationals' p (4, 4) and q (3, 4), one column per feature.
+
+    Trailing unit axes let coefficient ``k`` broadcast against (4, ...) deltas
+    of ``ndim`` axes.
+    """
+    shape = (-1, FEATURE_COUNT) + (1,) * (ndim - 1)
+    p = np.array([c.p for c in feat]).T.reshape(shape)
+    q = np.array([c.q for c in feat]).T.reshape(shape)
+    return p, q
 
 
 def _features(deltas, feat: list[RationalCoeffs]):
-    """Unit-normalized feature rationals of ``deltas``, zero-row mask, divisor."""
-    alpha = np.stack([rational_eval(c, d) for c, d in zip(feat, deltas)], axis=-1)
-    norm = np.linalg.norm(alpha, axis=-1, keepdims=True)
+    """Unit-normalized feature rationals of (4, ...) ``deltas``.
+
+    Returns the features with the feature axis last (a view of the (4, ...)
+    result), the zero-row mask and the divisor.  The squares are summed in
+    ``np.linalg.norm``'s order for a row of four, so its bits are kept.
+    """
+    num, _, den = _rational_terms(*_feature_coeffs(feat, deltas.ndim), deltas)
+    alpha = num / den
+    sq = alpha * alpha
+    norm = np.sqrt(((sq[0] + sq[1]) + sq[2]) + sq[3])
     small = norm < 1e-14
     safe = np.where(small, 1.0, norm)
-    return np.where(small, 0.0, alpha / safe), small, safe
+    a = np.where(small, 0.0, alpha / safe)
+    return np.moveaxis(a, 0, -1), small, safe
 
 
 def rational_features(stencils, feat: list[RationalCoeffs]):
@@ -163,17 +172,21 @@ def rational_features(stencils, feat: list[RationalCoeffs]):
 
 
 def _softmax(z):
-    m = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(m)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Two-way softmax over the last axis, one column at a time."""
+    z0, z1 = z[..., 0], z[..., 1]
+    m = np.maximum(z0, z1)
+    e0 = np.exp(z0 - m)
+    e1 = np.exp(z1 - m)
+    s = e0 + e1
+    return np.stack([e0 / s, e1 / s], axis=-1)
 
 
 def forward(params: NetParams, stencils, tape: list | None = None):
     """Pre-threshold stencil weights, shape (..., 2); rows sum to one.
 
     Given a list as ``tape``, each stage also appends what ``backward`` needs:
-    the deltas, the normalization's output, mask and divisor, each dense
-    layer's input and pre-activation, and the head's input and output.
+    the (4, n) deltas, the normalization's output, mask and divisor, each
+    dense layer's input and pre-activation, and the head's input and output.
     """
     deltas = _deltas(stencils)
     a, small, safe = _features(deltas, params.feat)
@@ -234,12 +247,11 @@ def backward(params: NetParams, tape: list, d_weights) -> np.ndarray:
 
     a, small, safe = tape.pop()
     d_unit = d_a - a * np.sum(d_a * a, axis=1, keepdims=True)
-    d_alpha = np.where(small, 0.0, d_unit / safe)
-    # the four feature rationals in one call on the deltas stacked as rows,
-    # coefficients shaped (4 or 3, 4 features, 1) to broadcast along them
-    p = np.stack([c.p for c in params.feat], axis=1)[:, :, None]
-    q = np.stack([c.q for c in params.feat], axis=1)[:, :, None]
-    _, dp, dq = _rational_backward(p, q, np.stack(tape.pop()), d_alpha.T.copy())
+    d_alpha = np.where(small, 0.0, d_unit.T / safe)
+    # the four feature rationals in one call on the (4, n) deltas
+    deltas = tape.pop()
+    p, q = _feature_coeffs(params.feat, deltas.ndim)
+    _, dp, dq = _rational_backward(p, q, deltas, d_alpha)
     feat = [g for j in range(FEATURE_COUNT) for g in (dp[:, j], dq[:, j])]
     return np.concatenate(feat + layers + head)
 
@@ -511,6 +523,13 @@ def params_from_json(text: str) -> NetParams:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ValueError(f"invalid weight file: not valid JSON ({e})") from e
+    try:
+        return _params_from_doc(doc)
+    except TypeError as e:  # a field holds the wrong kind of JSON value
+        raise ValueError(f"invalid weight file: {e}") from e
+
+
+def _params_from_doc(doc) -> NetParams:
     if _field(doc, "format_version") != WEIGHT_FORMAT_VERSION:
         raise ValueError(
             f"invalid weight file: field 'format_version' is "

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from wenonet import analysis as an
+from wenonet import cli
 from wenonet import funcspace as fs
 from wenonet import ratnet as rn
 from wenonet import solver as sv
@@ -51,6 +52,19 @@ def test_gen_data_bad_config_exit_2(tmp_path):
         "--pairs-per-grid", "100",
     )
     assert code == 2
+
+
+def test_config_value_of_wrong_type_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"nx_values": 16}))
+    assert run_cli("gen-data", "--config", str(cfg), "--out", str(tmp_path / "d")) == 2
+    assert "wrong type" in capsys.readouterr().err
+    assert run_cli("gen-data", "--nx-values", "16", "--pairs-per-grid", "32",
+                   "--out", str(tmp_path / "d")) == 0
+    cfg.write_text(json.dumps({"configs": [{"alpha": [0.1]}]}))
+    assert run_cli("train", "--dataset", str(tmp_path / "d" / "dataset.csv"),
+                   "--config", str(cfg), "--out", str(tmp_path / "m")) == 2
+    assert "wrong type" in capsys.readouterr().err
 
 
 def test_gen_data_config_file_with_flag_override(tmp_path):
@@ -103,6 +117,32 @@ def test_solve_unknown_problem_exit_2(tmp_path):
     assert code == 2
 
 
+def test_usage_errors_name_the_valid_choices(tmp_path, capsys):
+    assert run_cli("solve", "--problem", "kdv", "--scheme", "weno3-js",
+                   "--out", str(tmp_path / "x")) == 2
+    assert "choose one of: advection-cosine, advection-sigmoid" in capsys.readouterr().err
+    assert run_cli("converge", "--problem", "kdv", "--schemes", "weno3-js",
+                   "--nx-list", "16,32", "--out", str(tmp_path / "y")) == 2
+    assert "recon-sine-step" in capsys.readouterr().err
+    an.emit_report([{"model_id": "model_000"}], tmp_path / "models.csv", metadata={})
+    assert run_cli("select", "--registry", str(tmp_path / "models.csv"),
+                   "--criterion", "fastest") == 2
+    assert "choose one of: conv-sin-cubed, conv-sine-step" in capsys.readouterr().err
+    assert run_cli("select", "--registry", str(tmp_path / "models.csv"),
+                   "--criterion", "conv-sine-step") == 2
+    assert "lacks columns ['order_g'" in capsys.readouterr().err
+
+
+def test_program_errors_propagate_instead_of_exit_2(tmp_path, monkeypatch):
+    def broken_run(problem, grid, scheme):
+        raise TypeError("a bug inside the solver")
+
+    monkeypatch.setattr(cli.solver, "run", broken_run)
+    with pytest.raises(TypeError, match="a bug inside the solver"):
+        run_cli("solve", "--problem", "advection-cosine", "--scheme", "weno3-js",
+                "--out", str(tmp_path / "x"))
+
+
 def test_make_scheme_nn_roundtrip(tmp_path):
     params = rn.init_params(rng=np.random.default_rng(0))
     path = tmp_path / "weights.json"
@@ -127,6 +167,12 @@ def test_solve_malformed_weight_file_exit_2(tmp_path):
         "--out", str(tmp_path / "x"),
     )
     assert code == 2
+    # fields holding the wrong kind of JSON value are usage errors too
+    for text in ('{"format_version": 1, "arch": 4}', "3",
+                 '{"format_version": 1, "arch": [4, 4], "c_eno": [1]}'):
+        bad.write_text(text)
+        assert run_cli("solve", "--problem", "advection-cosine",
+                       "--scheme", f"nn:{bad}", "--out", str(tmp_path / "x")) == 2
 
 
 def test_converge_rows_and_slopes(tmp_path):

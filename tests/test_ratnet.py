@@ -33,9 +33,12 @@ def test_rational_eval_is_total_at_denominator_roots():
 
 
 def test_delta_features_examples():
-    assert np.array_equal(rn.delta_features([0.0, 1.0, 3.0]), [1, 2, 3, 1])
-    assert np.array_equal(rn.delta_features([4.0, 4.0, 4.0]), [0, 0, 0, 0])
-    assert np.array_equal(rn.delta_features([0.0, 1.0, 2.0]), [1, 1, 2, 0])
+    # the four deltas are stacked first: (4,) for one stencil, (4, n) for n
+    assert np.array_equal(rn._deltas([0.0, 1.0, 3.0]), [1, 2, 3, 1])
+    assert np.array_equal(rn._deltas([4.0, 4.0, 4.0]), [0, 0, 0, 0])
+    assert np.array_equal(rn._deltas([0.0, 1.0, 2.0]), [1, 1, 2, 0])
+    rows = np.array([[0.0, 1.0, 3.0], [4.0, 4.0, 4.0], [0.0, 1.0, 2.0]])
+    assert np.array_equal(rn._deltas(rows), [[1, 0, 1], [2, 0, 1], [3, 0, 2], [1, 0, 0]])
 
 
 def test_rational_features_identity_rationals():
@@ -95,6 +98,98 @@ def test_forward_tape_keeps_bits_and_backward_matches_differences():
         h = 1e-6
         fd = (f(theta + h * v) - f(theta - h * v)) / (2.0 * h)
         assert fd == pytest.approx(grad @ v, rel=1e-6, abs=1e-9)
+
+
+def row_reference(params, stencils):
+    """Features and weights with numpy's row reductions over a trailing axis.
+
+    This is ``forward`` as it was written before it worked column by column:
+    the four rationals one by one, ``np.linalg.norm`` over each row and the
+    softmax's max and sum over each row.
+    """
+    s = np.asarray(stencils, dtype=float)
+    um1, u0, up1 = s[..., 0], s[..., 1], s[..., 2]
+    deltas = [
+        np.abs(u0 - um1),
+        np.abs(up1 - u0),
+        np.abs(up1 - um1),
+        np.abs(up1 - 2.0 * u0 + um1),
+    ]
+    alpha = np.stack([rn.rational_eval(c, d) for c, d in zip(params.feat, deltas)], -1)
+    norm = np.linalg.norm(alpha, axis=-1, keepdims=True)
+    small = norm < 1e-14
+    feats = np.where(small, 0.0, alpha / np.where(small, 1.0, norm))
+    a = feats
+    for layer in params.layers:
+        a = rn.rational_eval(layer.act, a @ layer.W.T + layer.b)
+    z = a @ params.head_W.T + params.head_b
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return feats, e / e.sum(axis=-1, keepdims=True)
+
+
+def adversarial_stencils():
+    """Rows at magnitudes 1e-300 to 1e300, denormals, constant rows and NaN rows."""
+    base = np.random.default_rng(4).normal(size=(300, 3))
+    scales = [10.0**k for k in range(-300, 301, 50)]
+    specials = np.array(
+        [
+            [0.0, 0.0, 0.0],
+            [7.0, 7.0, 7.0],
+            [0.0, 5e-324, 1e-320],
+            [-5e-324, 0.0, 5e-324],
+            [0.0, 1.0, 1.0],
+            [np.nan, 0.0, 1.0],
+            [0.0, np.inf, 0.0],
+            [1e300, -1e300, 1e300],
+        ]
+    )
+    return np.concatenate([scale * base for scale in scales] + [specials])
+
+
+def test_forward_column_arithmetic_matches_row_reductions():
+    s = adversarial_stencils()
+    nets = [random_params(seed, noise=0.3) for seed in range(3)]
+    vanishing = random_params(3)
+    for c in vanishing.feat:
+        c.p[0] = 0.0  # tiny and constant rows then take the zero-norm branch
+    nets.append(vanishing)
+    with np.errstate(all="ignore"):
+        for params in nets:
+            feats, w = row_reference(params, s)
+            got_feats = rn.rational_features(s, params.feat)
+            got_w = rn.forward(params, s)
+            assert np.array_equal(got_feats, feats, equal_nan=True)
+            assert np.array_equal(got_w, w, equal_nan=True)
+            assert np.all(np.isnan(got_w[-3:]))  # NaN rows stay NaN pairs
+        assert np.any(np.all(rn.rational_features(s, vanishing.feat) == 0.0, axis=-1))
+
+        # the softmax alone, on logits with infinities and NaN
+        z = np.concatenate(
+            [
+                np.random.default_rng(5).normal(size=(200, 2)) * 10.0**k
+                for k in (-300, -5, 0, 2, 300)
+            ]
+            + [np.array([[np.inf, 1.0], [-np.inf, -np.inf], [np.nan, 0.0], [0.0, -0.0]])]
+        )
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        assert np.array_equal(
+            rn._softmax(z), e / e.sum(axis=-1, keepdims=True), equal_nan=True
+        )
+
+
+def test_forward_keeps_bits_across_input_shapes():
+    params = random_params(4)
+    s = np.random.default_rng(6).normal(size=(24, 3))
+    w = rn.forward(params, s)
+    feats = rn.rational_features(s, params.feat)
+    for i in (0, 7, 23):
+        assert np.array_equal(rn.forward(params, s[i]), w[i])
+        assert np.array_equal(rn.rational_features(s[i], params.feat), feats[i])
+        assert np.array_equal(rn.nn_reconstruct(params, s[i]), rn.nn_reconstruct(params, s)[i])
+    assert np.array_equal(rn.forward(params, s.reshape(4, 6, 3)), w.reshape(4, 6, 2))
+    assert np.array_equal(
+        rn.rational_features(s.reshape(4, 6, 3), params.feat), feats.reshape(4, 6, 4)
+    )
 
 
 def test_eno_filter_examples():

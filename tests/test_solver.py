@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from wenonet import ratnet as rn
 from wenonet import solver as sv
 from wenonet.reconstruct import IdealWeights3, Quick, Weno3JS, Weno3Z, Weno5JS
 
@@ -83,6 +84,65 @@ def test_face_states_dirichlet_far_field():
     um, up = sv.face_states(u, grid, Weno3JS())
     assert um[0] == pytest.approx(1.0, abs=1e-12)
     assert up[-1] == pytest.approx(0.0, abs=1e-12)
+
+
+def ghost_extended(u, grid, halo):
+    if grid.bc == "periodic":
+        return np.concatenate([u[-halo:], u, u[:halo]])
+    return np.concatenate([np.full(halo, grid.bc_values[0]), u, np.full(halo, grid.bc_values[1])])
+
+
+@pytest.mark.parametrize("nx", (8, 257))
+@pytest.mark.parametrize("bc", ("periodic", "dirichlet"))
+def test_face_states_matches_two_call_reference_bits(nx, bc):
+    grid = sv.GridSpec(nx, (0.0, 1.0), bc, (0.7, -0.2) if bc == "dirichlet" else None)
+    params = rn.init_params(rng=np.random.default_rng(1))
+    vec = rn.params_to_vector(params) + 0.2 * np.random.default_rng(2).normal(size=92)
+    schemes = [Weno3JS(), Weno3Z(), Weno5JS(), Quick(), IdealWeights3(),
+               rn.NNScheme(rn.vector_to_params(vec))]
+    x = grid.centers
+    states = [
+        np.random.default_rng(nx).normal(size=nx),
+        np.where(x < 0.5, np.sin(2.0 * np.pi * x), 1.0 + x),
+    ]
+    for scheme in schemes:
+        for u in states:
+            ext = ghost_extended(u, grid, (scheme.width + 1) // 2)
+            windows = np.lib.stride_tricks.sliding_window_view(ext, scheme.width)
+            um, up = sv.face_states(u, grid, scheme)
+            assert um.tobytes() == scheme.face_value(windows[:-1]).tobytes()
+            assert up.tobytes() == scheme.face_value(windows[1:, ::-1]).tobytes()
+
+
+def test_face_states_calls_the_scheme_once_on_contiguous_columns():
+    class Recorder:
+        name = "recorder"
+
+        def __init__(self, width):
+            self.width = width
+            self.calls = []
+
+        def face_value(self, windows):
+            self.calls.append(np.array(windows))
+            for j in range(self.width):
+                assert windows[:, j].flags.c_contiguous
+            return windows[:, 0] + 10.0 * windows[:, -1]
+
+    grid = sv.GridSpec(12)
+    u = np.arange(12.0) ** 2
+    for width in (3, 5):
+        scheme = Recorder(width)
+        um, up = sv.face_states(u, grid, scheme)
+        assert len(scheme.calls) == 1
+        (stencils,) = scheme.calls
+        assert stencils.shape == (2 * (grid.nx + 1), width)
+        ext = ghost_extended(u, grid, (width + 1) // 2)
+        windows = np.lib.stride_tricks.sliding_window_view(ext, width)
+        assert np.array_equal(stencils, np.concatenate([windows[:-1], windows[1:, ::-1]]))
+        assert np.array_equal(um, windows[:-1, 0] + 10.0 * windows[:-1, -1])
+        assert np.array_equal(up, windows[1:, -1] + 10.0 * windows[1:, 0])
+        sv.rhs(u, grid, scheme, "burgers")
+        assert len(scheme.calls) == 2
 
 
 def test_face_states_rejects_wide_stencil_on_small_grid():
