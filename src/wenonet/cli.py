@@ -1,9 +1,11 @@
 """Command-line pipeline orchestration with reproducible, config-driven runs.
 
-Every subcommand resolves its settings from an optional JSON config file plus
-flag overrides (flags win), writes a manifest of the fully resolved
-configuration next to its outputs, and is deterministic given (config, seed):
-rerunning reproduces data artifacts byte for byte.  Exit codes: 0 success,
+``gen-data`` and ``train`` resolve their settings from an optional JSON
+``--config`` file plus flag overrides (flags win).  Every subcommand but
+``select``, which only prints a model id, writes its outputs and a manifest of
+the resolved settings under ``--out``.  Runs are deterministic given (config,
+seed): rerunning reproduces data artifacts byte for byte, and ``train --jobs``
+changes only how many models train at once.  Exit codes: 0 success,
 1 runtime failure, 2 usage or config error.
 """
 
@@ -15,7 +17,6 @@ import datetime
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +92,11 @@ def _config_values(path: str | None):
         raise ValueError(f"config file {path}: a value has the wrong type ({e})") from e
 
 
+def _flag_or(flag, config: dict, key: str, default):
+    """The flag if it was given (0 included), else the config's ``key``, else ``default``."""
+    return flag if flag is not None else config.get(key, default)
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -109,13 +115,6 @@ def _write_manifest(out: Path, command: str, resolved: dict, wall_time: float) -
     (out / f"{command}-manifest.txt").write_text(text)
 
 
-def _pmap(fn, items, jobs: int):
-    if jobs <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -123,17 +122,14 @@ def _pmap(fn, items, jobs: int):
 def cmd_gen_data(args) -> int:
     t0 = time.perf_counter()
     config = _load_config(args.config)
-    nx_values = config.get("nx_values")
+    nx_values = config.get("nx_values", DatasetConfig.nx_values)
     if args.nx_values is not None:
         nx_values = [int(v) for v in args.nx_values.split(",")]
-    pairs = args.pairs_per_grid or config.get("pairs_per_grid")
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
+    pairs = _flag_or(args.pairs_per_grid, config, "pairs_per_grid",
+                     DatasetConfig.pairs_per_grid)
+    seed = _flag_or(args.seed, config, "seed", 0)
     with _config_values(args.config):
-        cfg = DatasetConfig(
-            nx_values=tuple(nx_values) if nx_values else DatasetConfig.nx_values,
-            pairs_per_grid=int(pairs) if pairs else DatasetConfig.pairs_per_grid,
-            seed=int(seed),
-        )
+        cfg = DatasetConfig(tuple(nx_values), int(pairs), int(seed))
     dataset = build_dataset(cfg)
     out = _out_dir(args)
     dataset.save_csv(out / "dataset.csv")
@@ -153,25 +149,27 @@ def cmd_gen_data(args) -> int:
 
 
 def _train_configs(config: dict, args) -> list[train.TrainConfig]:
+    defaults = train.TrainConfig
+    total = _flag_or(args.steps, config, "total_steps", defaults.total_steps)
     base = dict(
-        total_steps=args.steps or config.get("total_steps", 20000),
-        batch_size=args.batch_size or config.get("batch_size", 1024),
+        total_steps=total,
+        batch_size=_flag_or(args.batch_size, config, "batch_size", defaults.batch_size),
+        warmup_steps=_flag_or(
+            args.warmup_steps, config, "warmup_steps", max(total // 20, 1)
+        ),
     )
-    base["warmup_steps"] = args.warmup_steps or config.get(
-        "warmup_steps", max(base["total_steps"] // 20, 1)
-    )
-    seed0 = args.seed if args.seed is not None else config.get("seed", 0)
+    seed0 = _flag_or(args.seed, config, "seed", 0)
     if "configs" in config:
         out = []
         for i, raw in enumerate(config["configs"]):
             hyper = train.LossHyper(
-                alpha=float(raw.get("alpha", 0.1)),
-                beta_d=float(raw.get("beta_d", 0.1)),
-                beta_w=float(raw.get("beta_w", 1e-6)),
+                alpha=float(raw.get("alpha", train.LossHyper.alpha)),
+                beta_d=float(raw.get("beta_d", train.LossHyper.beta_d)),
+                beta_w=float(raw.get("beta_w", train.LossHyper.beta_w)),
             )
             out.append(
                 train.TrainConfig(
-                    peak_lr=float(raw.get("peak_lr", 5e-4)),
+                    peak_lr=float(raw.get("peak_lr", defaults.peak_lr)),
                     warmup_steps=int(raw.get("warmup_steps", base["warmup_steps"])),
                     total_steps=int(raw.get("total_steps", base["total_steps"])),
                     batch_size=int(raw.get("batch_size", base["batch_size"])),
@@ -350,15 +348,7 @@ def cmd_converge(args) -> int:
         target = eval_function(RECON_TARGETS[args.problem])
     else:
         target = _resolve_problem(args)
-    if args.jobs > 1 and len(schemes) > 1:
-        batches = _pmap(
-            lambda s: analysis.convergence_study([s], target, nx_list),
-            schemes,
-            args.jobs,
-        )
-        rows = [row for batch in batches for row in batch]
-    else:
-        rows = analysis.convergence_study(schemes, target, nx_list)
+    rows = analysis.convergence_study(schemes, target, nx_list)
     out = _out_dir(args)
     analysis.emit_report(
         rows,
@@ -382,21 +372,16 @@ def cmd_adr(args) -> int:
     t0 = time.perf_counter()
     schemes = [make_scheme(name) for name in args.schemes.split(",")]
     kappas = analysis.default_kappa_grid(args.modes)
-    batches = _pmap(
-        lambda s: [(s.name, p) for p in analysis.adr(s, kappas, args.nx)],
-        schemes,
-        args.jobs,
-    )
     rows = [
         {
-            "scheme": name,
+            "scheme": s.name,
             "kappa_dx": p.kappa_dx,
             "dispersion": p.dispersion,
             "dissipation": p.dissipation,
             "leakage": p.leakage,
         }
-        for batch in batches
-        for name, p in batch
+        for s in schemes
+        for p in analysis.adr(s, kappas, args.nx)
     ]
     out = _out_dir(args)
     analysis.emit_report(
@@ -418,11 +403,12 @@ def cmd_adr(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="JSON config file; flags override its keys")
-    sub.add_argument("--seed", type=int, default=None, help="global seed")
+def _add_common(sub, config: bool = False):
+    """``--out``, and ``--config`` and ``--seed`` for the commands that read them."""
+    if config:
+        sub.add_argument("--config", help="JSON config file; flags override its keys")
+        sub.add_argument("--seed", type=int, default=None, help="global seed")
     sub.add_argument("--out", default="out", help="output directory")
-    sub.add_argument("--jobs", type=int, default=1, help="parallel workers")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -433,13 +419,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate the exact training dataset")
-    _add_common(p)
+    _add_common(p, config=True)
     p.add_argument("--nx-values", help="comma-separated grid sizes")
     p.add_argument("--pairs-per-grid", type=int, default=None)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="train one or more stencil-weight networks")
-    _add_common(p)
+    _add_common(p, config=True)
+    p.add_argument("--jobs", type=int, default=1, help="models trained at once (threads)")
     p.add_argument("--dataset", required=True, help="dataset CSV from gen-data")
     p.add_argument("--steps", type=int, default=None, help="Adam steps per model")
     p.add_argument("--batch-size", type=int, default=None)
@@ -447,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("select", help="pick a model from a training registry")
-    _add_common(p)
     p.add_argument("--registry", required=True, help="models.csv from train")
     p.add_argument("--criterion", required=True, help="|".join(train.SELECTION_CRITERIA))
     p.set_defaults(func=cmd_select)

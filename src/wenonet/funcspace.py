@@ -163,6 +163,8 @@ class DatasetConfig:
     def validate(self) -> None:
         if not self.nx_values:
             raise ValueError("nx_values must be nonempty")
+        if self.pairs_per_grid < 1:
+            raise ValueError(f"pairs_per_grid={self.pairs_per_grid} must be at least 1")
         for nx in self.nx_values:
             if nx < 4:
                 raise ValueError(f"grid size {nx} is too small (need nx >= 4)")

@@ -34,7 +34,6 @@ __all__ = [
     "backward",
     "eno_filter",
     "nn_reconstruct",
-    "fit_relu_rational",
     "init_params",
     "count_params",
     "count_flops",
@@ -59,9 +58,14 @@ FEATURE_COUNT = 4
 _NUM_DEG = 3  # numerator degree of every rational activation
 _DEN_DEG = 2  # denominator degree
 
-_polyval = np.polynomial.polynomial.polyval
-
 WEIGHT_FORMAT_VERSION = 1
+
+#: The (3,2) rational every activation starts from: a fit to ReLU on [-3, 3]
+#: (max error 0.0947, at x = 0) by 60 rounds of Lawson-reweighted linear least
+#: squares on 1001 points with q[0] = 1, run on every init up to commit 4c6306a.
+#: Stored so that initialization does not depend on the platform's LAPACK.
+RELU_P = (0.0947149832446714, 0.5000000016244813, 0.46494289603641265, 0.10914203355115254)
+RELU_Q = (1.0, -1.2971478537744163e-08, 0.2182840705240141)
 
 
 @dataclass
@@ -299,62 +303,6 @@ class NNScheme:
         return nn_reconstruct(self.params, windows)
 
 
-_relu_fit_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def fit_relu_rational(n_points: int = 1001, span: tuple[float, float] = (-3.0, 3.0)):
-    """Least-squares (3,2)-rational approximation of ReLU on ``span``.
-
-    Iteratively reweighted linear least squares with the denominator constant
-    pinned to 1 (the ratio is scale invariant); Lawson-style reweighting by
-    the running residual pushes the fit toward the uniform-error optimum.
-    Falls back to a coarser grid if the fit degenerates.  The result is
-    cached.
-    """
-    key = (n_points, span)
-    if key not in _relu_fit_cache:
-        p, q = _fit_relu(n_points, span)
-        err = _relu_fit_error(RationalCoeffs(p, q), span)
-        if not np.isfinite(err) or err > 0.5:
-            p, q = _fit_relu(101, span)
-        _relu_fit_cache[key] = (p, q)
-    p, q = _relu_fit_cache[key]
-    return RationalCoeffs(p.copy(), q.copy())
-
-
-def _fit_relu(n_points: int, span: tuple[float, float]):
-    x = np.linspace(span[0], span[1], n_points)
-    y = np.maximum(x, 0.0)
-    q_tail = np.zeros(2)
-    lawson = np.ones_like(x)
-    cols = np.column_stack([np.ones_like(x), x, x**2, x**3, -y * x, -y * x**2])
-    best = None
-    best_err = np.inf
-    for it in range(60):
-        den = 1.0 + q_tail[0] * x + q_tail[1] * x**2
-        wgt = lawson / np.maximum(np.abs(den), 1e-6)
-        sol, *_ = np.linalg.lstsq(cols * wgt[:, None], y * wgt, rcond=None)
-        q_tail = sol[4:]
-        cand = RationalCoeffs(sol[:4], np.concatenate([[1.0], q_tail]))
-        den_new = _polyval(x, cand.q)
-        resid = np.abs(rational_eval(cand, x) - y)
-        err = float(resid.max())
-        # reject iterates whose denominator approaches a root on the interval
-        if err < best_err and np.min(np.abs(den_new)) > 0.1:
-            best, best_err = cand, err
-        if it >= 20:  # switch on damped residual reweighting toward uniform error
-            lawson = np.sqrt(np.maximum(lawson * (resid + 1e-12), 1e-10))
-            lawson /= lawson.max()
-    if best is None:
-        raise RuntimeError("rational fit to ReLU degenerated")
-    return best.p.copy(), best.q.copy()
-
-
-def _relu_fit_error(c: RationalCoeffs, span: tuple[float, float]) -> float:
-    x = np.linspace(span[0], span[1], 4001)
-    return float(np.max(np.abs(rational_eval(c, x) - np.maximum(x, 0.0))))
-
-
 def init_params(
     arch: tuple[int, ...] = DEFAULT_ARCH,
     rng: np.random.Generator | None = None,
@@ -365,7 +313,7 @@ def init_params(
         raise ValueError(f"first hidden width must be {FEATURE_COUNT}, got {arch[0]}")
     if rng is None:
         rng = np.random.default_rng(0)
-    relu = fit_relu_rational()
+    relu = RationalCoeffs(RELU_P, RELU_Q)
     feat = [relu.copy() for _ in range(FEATURE_COUNT)]
     layers = []
     for n_in, n_out in zip(arch[:-1], arch[1:]):
@@ -378,11 +326,7 @@ def init_params(
 
 def count_params(params: NetParams) -> int:
     """Number of stored learnable scalars (every coefficient, weight, and bias)."""
-    n = sum(c.p.size + c.q.size for c in params.feat)
-    for layer in params.layers:
-        n += layer.W.size + layer.b.size + layer.act.p.size + layer.act.q.size
-    n += params.head_W.size + params.head_b.size
-    return n
+    return params_to_vector(params).size
 
 
 _RATIONAL_FLOPS = 12  # Horner 3 mul + 3 add; 2 mul + 2 add; guard add; divide

@@ -101,6 +101,10 @@ class TrainConfig:
     arch: tuple[int, ...] = DEFAULT_ARCH
     c_eno: float = C_ENO_DEFAULT
 
+    def __post_init__(self):  # zero steps is allowed and returns the initialization
+        if min(self.total_steps, self.warmup_steps) < 0 or self.batch_size < 1:
+            raise ValueError("step counts must be non-negative and batch_size >= 1")
+
 
 @dataclass
 class TrainedModel:
@@ -260,9 +264,8 @@ def train_model(
             continue
         theta, state = adam_step(theta, grad, state, lr)
     params = vector_to_params(theta, cfg.arch, cfg.c_eno)
-    model = TrainedModel(
-        params=params, config=cfg, log=np.asarray(log), skipped_steps=skipped
-    )
+    log = np.asarray(log).reshape(-1, 6)  # (0, 6) after zero steps
+    model = TrainedModel(params=params, config=cfg, log=log, skipped_steps=skipped)
     model.grid_errors, model.orders = evaluate_orders(NNScheme(params), eval_grids)
     return model
 

@@ -77,6 +77,57 @@ def test_gen_data_config_file_with_flag_override(tmp_path):
     assert '"seed": 2' in manifest  # flag wins over config file
 
 
+def test_options_exist_only_where_they_are_read(tmp_path):
+    registry = str(tmp_path / "models.csv")
+    for argv in (
+        ["solve", "--problem", "advection-cosine", "--scheme", "weno3-js", "--seed", "1"],
+        ["select", "--registry", registry, "--criterion", "conv-sine-step", "--out", "x"],
+        ["adr", "--schemes", "weno3-js", "--jobs", "2"],
+        ["gen-data", "--jobs", "2"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2, argv
+
+
+def _train_small(tmp_path, *flags):
+    """``train`` on a tiny dataset with one config; returns (exit code, out dir)."""
+    data = tmp_path / "data"
+    if not data.exists():
+        run_cli("gen-data", "--out", str(data), "--nx-values", "16",
+                "--pairs-per-grid", "64")
+    cfg = tmp_path / "one.json"
+    cfg.write_text(json.dumps({
+        "configs": [{"peak_lr": 2e-3}],
+        "val": {"nx_values": [16], "pairs_per_grid": 32},
+    }))
+    out = tmp_path / f"models{'_'.join(flags)}"
+    code = run_cli("train", "--dataset", str(data / "dataset.csv"), "--config", str(cfg),
+                   "--batch-size", "32", "--out", str(out), *flags)
+    return code, out
+
+
+def test_zero_valued_flags_are_kept(tmp_path):
+    code, out = _train_small(tmp_path, "--steps", "40", "--warmup-steps", "0")
+    assert code == 0
+    manifest = (out / "train-manifest.txt").read_text()
+    assert '"warmup_steps": 0' in manifest and '"total_steps": 40' in manifest
+    log, _ = an.parse_report(out / "train_log_model_000.csv")
+    assert len(log) == 40 and log[0]["lr"] == 2e-3  # no warmup: the peak at step 0
+
+    code, out = _train_small(tmp_path, "--steps", "0")
+    assert code == 0
+    assert '"total_steps": 0' in (out / "train-manifest.txt").read_text()
+    log_lines = (out / "train_log_model_000.csv").read_text().splitlines()
+    assert log_lines == ["step,lr,loss,loss_r,loss_d,loss_l2"]
+
+    # a flag given twice takes its last value, so this overrides --batch-size 32
+    assert _train_small(tmp_path, "--steps", "10", "--batch-size", "0")[0] == 2
+    assert run_cli("gen-data", "--nx-values", "16", "--pairs-per-grid", "0",
+                   "--out", str(tmp_path / "d0")) == 2
+    assert not (tmp_path / "d0").exists()
+
+
 def test_solve_matches_library_call(tmp_path):
     out = tmp_path / "solve"
     code = run_cli(

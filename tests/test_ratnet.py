@@ -260,14 +260,16 @@ def test_nn_reconstruct_shift_equivariance():
 
 
 def test_relu_fit_quality():
-    c = rn.fit_relu_rational()
-    x = np.linspace(-3.0, 3.0, 2001)
-    err = np.max(np.abs(rn.rational_eval(c, x) - np.maximum(x, 0.0)))
-    assert err <= 0.15
-    assert abs(rn.rational_eval(c, -3.0)) <= 0.15
-    assert abs(rn.rational_eval(c, 3.0) - 3.0) <= 0.15
-    again = rn.fit_relu_rational()
-    assert np.array_equal(c.p, again.p) and np.array_equal(c.q, again.q)
+    # the stored ReLU approximant every rational of init_params starts from
+    c = rn.RationalCoeffs(rn.RELU_P, rn.RELU_Q)
+    x = np.linspace(-3.0, 3.0, 4001)
+    assert np.max(np.abs(rn.rational_eval(c, x) - np.maximum(x, 0.0))) <= 0.0948
+    q = (c.q[2] * x + c.q[1]) * x + c.q[0]
+    assert np.min(np.abs(q)) >= 0.99  # no pole on the span
+    params = rn.init_params(arch=(4, 8, 4), rng=np.random.default_rng(0))
+    for r in params.feat + [layer.act for layer in params.layers]:
+        assert r.p.tobytes() == c.p.tobytes() and r.q.tobytes() == c.q.tobytes()
+    assert params.feat[0].p is not params.feat[1].p  # every rational owns its arrays
 
 
 def test_init_rationals_near_relu():

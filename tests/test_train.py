@@ -280,3 +280,27 @@ def test_run_sweep_populates_validation_losses():
     assert len(models) == 2
     assert all(np.isfinite(m.recon_loss) and np.isfinite(m.dev_loss) for m in models)
     assert all(set(m.orders) == {"sine_cubed", "sine_step"} for m in models)
+
+
+def test_run_sweep_threads_keep_order_and_bits():
+    ds = small_dataset(seed=1)
+    val = small_dataset(seed=2)
+    configs = [
+        tr.TrainConfig(total_steps=30, warmup_steps=3, batch_size=128, seed=s, peak_lr=lr)
+        for s, lr in ((4, 2e-3), (7, 5e-4))
+    ]
+    serial = tr.run_sweep(ds, configs, val, jobs=1, eval_grids=(16, 32))
+    threaded = tr.run_sweep(ds, configs, val, jobs=2, eval_grids=(16, 32))
+    for a, b, cfg in zip(serial, threaded, configs):
+        assert a.config is cfg and b.config is cfg
+        assert rn.params_to_vector(a.params).tobytes() == rn.params_to_vector(b.params).tobytes()
+        assert a.log.tobytes() == b.log.tobytes()
+        assert (a.recon_loss, a.dev_loss, a.orders) == (b.recon_loss, b.dev_loss, b.orders)
+    assert serial[0].log.tobytes() != serial[1].log.tobytes()
+
+
+def test_train_config_rejects_invalid_counts():
+    for bad in ({"total_steps": -1}, {"warmup_steps": -1}, {"batch_size": 0}):
+        with pytest.raises(ValueError):
+            tr.TrainConfig(**bad)
+    assert tr.TrainConfig(total_steps=0, warmup_steps=0).total_steps == 0
