@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import datetime
 import json
 import sys
@@ -177,15 +178,18 @@ def _train_configs(config: dict, args) -> list[train.TrainConfig]:
                     hyper=hyper,
                 )
             )
-        return out
-    sweep = config.get("sweep", {})
-    return train.sweep_grid(
-        alphas=tuple(sweep.get("alphas", train.DEFAULT_SWEEP_ALPHAS)),
-        beta_ds=tuple(sweep.get("beta_ds", train.DEFAULT_SWEEP_BETA_D)),
-        peak_lrs=tuple(sweep.get("peak_lrs", train.DEFAULT_SWEEP_PEAK_LR)),
-        seed0=seed0,
-        **base,
-    )
+    else:
+        sweep = config.get("sweep", {})
+        out = train.sweep_grid(
+            alphas=tuple(sweep.get("alphas", train.DEFAULT_SWEEP_ALPHAS)),
+            beta_ds=tuple(sweep.get("beta_ds", train.DEFAULT_SWEEP_BETA_D)),
+            peak_lrs=tuple(sweep.get("peak_lrs", train.DEFAULT_SWEEP_PEAK_LR)),
+            seed0=seed0,
+            **base,
+        )
+    if not out:
+        raise ValueError("the config trains no models (empty configs or sweep list)")
+    return out
 
 
 def cmd_train(args) -> int:
@@ -199,12 +203,11 @@ def cmd_train(args) -> int:
         ] or [""] * len(configs)
 
         val_raw = config.get("val", {})
-        val_seed = int(val_raw.get("seed", (configs[0].seed + 1000003)))
         default_nx = sorted(set(map(int, np.unique(dataset.nx))))
         val_cfg = DatasetConfig(
             nx_values=tuple(val_raw.get("nx_values", default_nx)),
             pairs_per_grid=int(val_raw.get("pairs_per_grid", 4096)),
-            seed=val_seed,
+            seed=int(val_raw.get("seed", configs[0].seed + 1000003)),
         )
     val_dataset = build_dataset(val_cfg)
 
@@ -249,19 +252,8 @@ def cmd_train(args) -> int:
         {
             "dataset": str(args.dataset),
             "n_models": len(models),
-            "val_seed": val_seed,
-            "configs": [
-                {
-                    "alpha": c.hyper.alpha,
-                    "beta_d": c.hyper.beta_d,
-                    "peak_lr": c.peak_lr,
-                    "seed": c.seed,
-                    "total_steps": c.total_steps,
-                    "batch_size": c.batch_size,
-                    "warmup_steps": c.warmup_steps,
-                }
-                for c in configs
-            ],
+            "val": dataclasses.asdict(val_cfg),
+            "configs": [dataclasses.asdict(c) for c in configs],
         },
         time.perf_counter() - t0,
     )

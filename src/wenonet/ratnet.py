@@ -7,11 +7,16 @@ essentially-non-oscillatory property at inference time.
 
 ``forward`` (which can record a tape) and ``backward`` (reverse mode by hand)
 are the network's only forward and backward passes.
+
+Every learnable scalar is stored once, in the flat vector ``NetParams.theta``;
+the rationals, layers and head are views of it.  The block table
+``_blocks(arch)`` gives each block's weight-file path and shape in theta order.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -81,9 +86,6 @@ class RationalCoeffs:
         if self.p.shape != (_NUM_DEG + 1,) or self.q.shape != (_DEN_DEG + 1,):
             raise ValueError("rational coefficients must have shapes (4,) and (3,)")
 
-    def copy(self) -> "RationalCoeffs":
-        return RationalCoeffs(self.p.copy(), self.q.copy())
-
 
 @dataclass
 class DenseLayer:
@@ -92,22 +94,58 @@ class DenseLayer:
     act: RationalCoeffs
 
 
+def _blocks(arch: tuple[int, ...]) -> list:
+    """The block table: (weight-file path, shape) of every block, in theta order."""
+
+    def rational(*head):
+        return [((*head, "p"), (_NUM_DEG + 1,)), ((*head, "q"), (_DEN_DEG + 1,))]
+
+    table = [b for j in range(FEATURE_COUNT) for b in rational("feat", j)]
+    for i, (n_in, n_out) in enumerate(zip(arch[:-1], arch[1:])):
+        table += [(("layers", i, "W"), (n_out, n_in)), (("layers", i, "b"), (n_out,))]
+        table += rational("layers", i, "act")
+    return table + [(("head", "W"), (2, arch[-1])), (("head", "b"), (2,))]
+
+
 @dataclass
 class NetParams:
-    """Every learnable parameter of the network.
+    """Every learnable parameter of the network, stored once in ``theta``.
 
-    ``feat`` holds one rational per delta feature; ``layers`` the dense
-    transitions between consecutive hidden layers (the feature vector is the
-    first hidden layer, so ``len(layers) == len(arch) - 1``); ``head`` the
-    final 2-way linear map fed to the softmax.
+    ``feat`` (one rational per delta feature), ``layers`` (the dense maps
+    between hidden layers; the features are the first, so ``len(layers) ==
+    len(arch) - 1``) and ``head_W``/``head_b`` are views of ``theta`` cut by
+    ``_blocks(arch)``.  Write through them (``params.head_W[:] = ...``):
+    reassigning a view attribute detaches it from ``theta``.
     """
 
-    feat: list[RationalCoeffs]
-    layers: list[DenseLayer]
-    head_W: np.ndarray  # (2, arch[-1])
-    head_b: np.ndarray  # (2,)
+    theta: np.ndarray
     arch: tuple[int, ...] = DEFAULT_ARCH
     c_eno: float = C_ENO_DEFAULT
+
+    def __post_init__(self):
+        theta = self.theta = np.ascontiguousarray(self.theta, dtype=float)
+        arch = self.arch = tuple(self.arch)
+        v, pos = {}, 0  # a view per block, keyed by path
+        for path, shape in _blocks(arch):
+            v[path] = theta[pos : pos + math.prod(shape)].reshape(shape)
+            pos += math.prod(shape)
+        if theta.shape != (pos,):
+            raise ValueError(f"vector length {theta.size} does not match arch {arch}")
+
+        def rational(*head):
+            return RationalCoeffs(v[(*head, "p")], v[(*head, "q")])
+
+        self.feat = [rational("feat", j) for j in range(FEATURE_COUNT)]
+        self.layers = [
+            DenseLayer(
+                v["layers", i, "W"], v["layers", i, "b"], rational("layers", i, "act")
+            )
+            for i in range(len(arch) - 1)
+        ]
+        self.head_W, self.head_b = v["head", "W"], v["head", "b"]
+
+    def __reduce__(self):  # pickle and deepcopy rebuild the views on the copy's theta
+        return NetParams, (self.theta, self.arch, self.c_eno)
 
 
 def _rational_terms(p, q, x):
@@ -228,25 +266,28 @@ def _rational_backward(p, q, x, upstream):
 
 
 def backward(params: NetParams, tape: list, d_weights) -> np.ndarray:
-    """Gradient in ``params_to_vector`` order from a batch's ``forward`` tape.
+    """Gradient with respect to ``params.theta`` from a batch's ``forward`` tape.
 
     ``tape`` is the list that ``forward(params, stencils, tape)`` filled for
     stencils of shape (n, 3), and ``d_weights`` (n, 2) is the loss gradient
-    with respect to its output.  The tape is consumed.
+    with respect to its output.  The tape is consumed.  Each block's gradient
+    is written into the same view of the returned vector.
     """
+    grad = NetParams(np.zeros_like(params.theta), params.arch, params.c_eno)
     a, w = tape.pop()
     d_z = w * (d_weights - np.sum(d_weights * w, axis=1, keepdims=True))
-    head = [(d_z.T @ a).ravel(), d_z.sum(axis=0)]
+    grad.head_W[:], grad.head_b[:] = d_z.T @ a, d_z.sum(axis=0)
     d_a = d_z @ params.head_W
 
-    layers = []
-    for layer in reversed(params.layers):
+    for layer, g in zip(reversed(params.layers), reversed(grad.layers)):
         a_in, z = tape.pop()
         # one rational shared by every entry of z
         act = layer.act
-        d_z, dp, dq = _rational_backward(act.p, act.q, z.ravel(), d_a.ravel())
+        d_z, g.act.p[:], g.act.q[:] = _rational_backward(
+            act.p, act.q, z.ravel(), d_a.ravel()
+        )
         d_z = d_z.reshape(z.shape)
-        layers = [(d_z.T @ a_in).ravel(), d_z.sum(axis=0), dp, dq] + layers
+        g.W[:], g.b[:] = d_z.T @ a_in, d_z.sum(axis=0)
         d_a = d_z @ layer.W
 
     a, small, safe = tape.pop()
@@ -256,8 +297,9 @@ def backward(params: NetParams, tape: list, d_weights) -> np.ndarray:
     deltas = tape.pop()
     p, q = _feature_coeffs(params.feat, deltas.ndim)
     _, dp, dq = _rational_backward(p, q, deltas, d_alpha)
-    feat = [g for j in range(FEATURE_COUNT) for g in (dp[:, j], dq[:, j])]
-    return np.concatenate(feat + layers + head)
+    for j, g in enumerate(grad.feat):
+        g.p[:], g.q[:] = dp[:, j], dq[:, j]
+    return grad.theta
 
 
 def eno_filter(weights, c_eno: float = C_ENO_DEFAULT):
@@ -313,20 +355,19 @@ def init_params(
         raise ValueError(f"first hidden width must be {FEATURE_COUNT}, got {arch[0]}")
     if rng is None:
         rng = np.random.default_rng(0)
-    relu = RationalCoeffs(RELU_P, RELU_Q)
-    feat = [relu.copy() for _ in range(FEATURE_COUNT)]
-    layers = []
-    for n_in, n_out in zip(arch[:-1], arch[1:]):
-        W = rng.normal(0.0, np.sqrt(1.0 / n_in), size=(n_out, n_in))
-        layers.append(DenseLayer(W, np.zeros(n_out), relu.copy()))
-    head_W = rng.normal(0.0, np.sqrt(1.0 / arch[-1]), size=(2, arch[-1]))
-    head_b = np.zeros(2)
-    return NetParams(feat, layers, head_W, head_b, tuple(arch), c_eno)
+    n = sum(math.prod(shape) for _, shape in _blocks(arch))
+    params = NetParams(np.zeros(n), arch, c_eno)
+    for r in params.feat + [layer.act for layer in params.layers]:
+        r.p[:], r.q[:] = RELU_P, RELU_Q
+    for layer, n_in in zip(params.layers, arch):  # the rng draws each W, then the head
+        layer.W[:] = rng.normal(0.0, np.sqrt(1.0 / n_in), size=layer.W.shape)
+    params.head_W[:] = rng.normal(0.0, np.sqrt(1.0 / arch[-1]), size=(2, arch[-1]))
+    return params
 
 
 def count_params(params: NetParams) -> int:
     """Number of stored learnable scalars (every coefficient, weight, and bias)."""
-    return params_to_vector(params).size
+    return params.theta.size
 
 
 _RATIONAL_FLOPS = 12  # Horner 3 mul + 3 add; 2 mul + 2 add; guard add; divide
@@ -377,47 +418,16 @@ def accounting_report(params: NetParams) -> str:
 
 
 # ---------------------------------------------------------------------------
-# flat parameter vector (fixed layout: feature rationals p then q in feature
-# order, then per layer W row-major, b, act.p, act.q, then head W row-major
-# and head b)
+# flat parameter vector, laid out by ``_blocks``
 
 def params_to_vector(params: NetParams) -> np.ndarray:
-    chunks = []
-    for c in params.feat:
-        chunks += [c.p, c.q]
-    for layer in params.layers:
-        chunks += [layer.W.ravel(), layer.b, layer.act.p, layer.act.q]
-    chunks += [params.head_W.ravel(), params.head_b]
-    return np.concatenate(chunks)
+    return params.theta.copy()
 
 
 def vector_to_params(
     vec: np.ndarray, arch: tuple[int, ...] = DEFAULT_ARCH, c_eno: float = C_ENO_DEFAULT
 ) -> NetParams:
-    vec = np.asarray(vec, dtype=float)
-    pos = 0
-
-    def take(n):
-        nonlocal pos
-        out = vec[pos : pos + n]
-        pos += n
-        return out.copy()
-
-    feat = [
-        RationalCoeffs(take(_NUM_DEG + 1), take(_DEN_DEG + 1))
-        for _ in range(FEATURE_COUNT)
-    ]
-    layers = []
-    for n_in, n_out in zip(arch[:-1], arch[1:]):
-        W = take(n_out * n_in).reshape(n_out, n_in)
-        b = take(n_out)
-        act = RationalCoeffs(take(_NUM_DEG + 1), take(_DEN_DEG + 1))
-        layers.append(DenseLayer(W, b, act))
-    head_W = take(2 * arch[-1]).reshape(2, arch[-1])
-    head_b = take(2)
-    if pos != vec.size:
-        raise ValueError(f"vector length {vec.size} does not match arch {arch}")
-    return NetParams(feat, layers, head_W, head_b, tuple(arch), c_eno)
+    return NetParams(np.array(vec, dtype=float), arch, c_eno)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +479,7 @@ def params_from_json(text: str) -> NetParams:
         raise ValueError(f"invalid weight file: not valid JSON ({e})") from e
     try:
         return _params_from_doc(doc)
-    except TypeError as e:  # a field holds the wrong kind of JSON value
+    except (TypeError, LookupError) as e:  # a field holds the wrong kind of JSON value
         raise ValueError(f"invalid weight file: {e}") from e
 
 
@@ -485,39 +495,17 @@ def _params_from_doc(doc) -> NetParams:
     c_eno = float(_field(doc, "c_eno"))
     if not 0.0 < c_eno < 0.5:
         raise ValueError(f"invalid weight file: field 'c_eno' {c_eno} out of range")
-    raw_feat = _field(doc, "feat")
-    if len(raw_feat) != FEATURE_COUNT:
-        raise ValueError("invalid weight file: field 'feat' must have 4 entries")
-    feat = [
-        RationalCoeffs(
-            _real_array(_field(c, "p"), (_NUM_DEG + 1,), f"feat[{j}].p"),
-            _real_array(_field(c, "q"), (_DEN_DEG + 1,), f"feat[{j}].q"),
-        )
-        for j, c in enumerate(raw_feat)
-    ]
-    raw_layers = _field(doc, "layers")
-    if len(raw_layers) != len(arch) - 1:
-        raise ValueError(
-            f"invalid weight file: field 'layers' has {len(raw_layers)} entries, "
-            f"expected {len(arch) - 1} for arch {arch}"
-        )
-    layers = []
-    for i, (raw, n_in, n_out) in enumerate(zip(raw_layers, arch[:-1], arch[1:])):
-        act = _field(raw, "act")
-        layers.append(
-            DenseLayer(
-                _real_array(_field(raw, "W"), (n_out, n_in), f"layers[{i}].W"),
-                _real_array(_field(raw, "b"), (n_out,), f"layers[{i}].b"),
-                RationalCoeffs(
-                    _real_array(_field(act, "p"), (_NUM_DEG + 1,), f"layers[{i}].act.p"),
-                    _real_array(_field(act, "q"), (_DEN_DEG + 1,), f"layers[{i}].act.q"),
-                ),
-            )
-        )
-    head = _field(doc, "head")
-    head_W = _real_array(_field(head, "W"), (2, arch[-1]), "head.W")
-    head_b = _real_array(_field(head, "b"), (2,), "head.b")
-    return NetParams(feat, layers, head_W, head_b, arch, c_eno)
+    for name, n in (("feat", FEATURE_COUNT), ("layers", len(arch) - 1)):
+        if len(_field(doc, name)) != n:
+            raise ValueError(f"invalid weight file: field '{name}' needs {n} entries")
+    blocks = []
+    for path, shape in _blocks(arch):
+        value = doc
+        for key in path:
+            value = value[key] if isinstance(key, int) else _field(value, key)
+        name = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+        blocks.append(_real_array(value, shape, name[1:]).ravel())
+    return NetParams(np.concatenate(blocks), arch, c_eno)
 
 
 def save_params(params: NetParams, path) -> None:

@@ -29,8 +29,6 @@ from .ratnet import (
     backward,
     forward,
     init_params,
-    params_to_vector,
-    vector_to_params,
 )
 from .reconstruct import IDEAL_WEIGHTS3, interpolants3
 
@@ -168,10 +166,9 @@ def loss_and_grad(params: NetParams, stencils, targets, hyper: LossHyper):
     y = np.asarray(targets, dtype=float)
     tape = []
     loss_r, loss_d, d_w = _loss_terms(forward(params, s, tape), s, y, hyper)
-    theta = params_to_vector(params)
-    loss_l2 = float(np.sum(theta**2))
+    loss_l2 = float(np.sum(params.theta**2))
     loss = loss_r + hyper.beta_d * loss_d + hyper.beta_w * loss_l2
-    grad = backward(params, tape, d_w) + 2.0 * hyper.beta_w * theta
+    grad = backward(params, tape, d_w) + 2.0 * hyper.beta_w * params.theta
     parts = {"loss_r": loss_r, "loss_d": loss_d, "loss_l2": loss_l2}
     return loss, grad, parts
 
@@ -233,11 +230,11 @@ def train_model(
     """Full Adam run over seeded mini-batches; metrics cover ``eval_grids``.
 
     Initialization and shuffling use dedicated Philox streams derived from
-    ``cfg.seed``, so reruns are bit-identical.
+    ``cfg.seed``, so reruns are bit-identical.  Adam updates ``params.theta``
+    in place, so the layers, which are views of it, follow every step.
     """
     params = init_params(cfg.arch, philox_rng(cfg.seed, 2**63), cfg.c_eno)
-    theta = params_to_vector(params)
-    state = AdamState.zeros(theta.size)
+    state = AdamState.zeros(params.theta.size)
     shuffler = philox_rng(cfg.seed, 2**63 + 1)
     n = len(dataset)
     bs = min(cfg.batch_size, n)
@@ -251,7 +248,6 @@ def train_model(
             pos = 0
         idx = order[pos : pos + bs]
         pos += bs
-        params = vector_to_params(theta, cfg.arch, cfg.c_eno)
         loss, grad, parts = loss_and_grad(
             params, dataset.ubar[idx], dataset.target[idx], cfg.hyper
         )
@@ -262,8 +258,7 @@ def train_model(
         if not np.all(np.isfinite(grad)):
             skipped += 1
             continue
-        theta, state = adam_step(theta, grad, state, lr)
-    params = vector_to_params(theta, cfg.arch, cfg.c_eno)
+        params.theta[:], state = adam_step(params.theta, grad, state, lr)
     log = np.asarray(log).reshape(-1, 6)  # (0, 6) after zero steps
     model = TrainedModel(params=params, config=cfg, log=log, skipped_steps=skipped)
     model.grid_errors, model.orders = evaluate_orders(NNScheme(params), eval_grids)

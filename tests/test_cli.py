@@ -128,6 +128,41 @@ def test_zero_valued_flags_are_kept(tmp_path):
     assert not (tmp_path / "d0").exists()
 
 
+def test_train_config_with_no_models_exit_2(tmp_path, capsys):
+    data = tmp_path / "data"
+    run_cli("gen-data", "--out", str(data), "--nx-values", "16", "--pairs-per-grid", "64")
+    cfg = tmp_path / "empty.json"
+    # val.seed is given, so nothing falls back to the first config's seed
+    for doc in ({"configs": []}, {"sweep": {"alphas": []}, "val": {"seed": 1}}):
+        cfg.write_text(json.dumps(doc))
+        code = run_cli("train", "--dataset", str(data / "dataset.csv"),
+                       "--config", str(cfg), "--out", str(tmp_path / "m"))
+        assert code == 2, doc
+        assert "trains no models" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
+def test_train_manifest_records_resolved_settings(tmp_path):
+    data = tmp_path / "data"
+    run_cli("gen-data", "--out", str(data), "--nx-values", "16", "--pairs-per-grid", "64")
+    cfg = tmp_path / "one.json"
+    cfg.write_text(json.dumps({
+        "configs": [{"peak_lr": 2e-3, "beta_w": 0.001}],
+        "val": {"nx_values": [16], "pairs_per_grid": 32},
+    }))
+    out = tmp_path / "models"
+    assert run_cli("train", "--dataset", str(data / "dataset.csv"), "--config", str(cfg),
+                   "--steps", "5", "--batch-size", "32", "--seed", "4",
+                   "--out", str(out)) == 0
+    text = (out / "train-manifest.txt").read_text()
+    manifest = json.loads(text.split("\n", 1)[1])
+    (resolved,) = manifest["configs"]
+    assert resolved["hyper"]["beta_w"] == 0.001
+    assert resolved["peak_lr"] == 2e-3 and resolved["seed"] == 4
+    assert resolved["total_steps"] == 5 and resolved["batch_size"] == 32
+    assert manifest["val"] == {"nx_values": [16], "pairs_per_grid": 32, "seed": 4 + 1000003}
+
+
 def test_solve_matches_library_call(tmp_path):
     out = tmp_path / "solve"
     code = run_cli(
@@ -220,7 +255,9 @@ def test_solve_malformed_weight_file_exit_2(tmp_path):
     assert code == 2
     # fields holding the wrong kind of JSON value are usage errors too
     for text in ('{"format_version": 1, "arch": 4}', "3",
-                 '{"format_version": 1, "arch": [4, 4], "c_eno": [1]}'):
+                 '{"format_version": 1, "arch": [4, 4], "c_eno": [1]}',
+                 '{"format_version": 1, "arch": [4, 4], "c_eno": 0.001, "layers": [{}],'
+                 ' "feat": {"a": 0, "b": 0, "c": 0, "d": 0}}'):
         bad.write_text(text)
         assert run_cli("solve", "--problem", "advection-cosine",
                        "--scheme", f"nn:{bad}", "--out", str(tmp_path / "x")) == 2

@@ -2,9 +2,12 @@
 
 A quicker witness than the acceptance gate for "same behaviour": the network's
 inference bits on fixed stencils, the final L1 error of every scheme on two
-solves at nx 64, and a short fixed-seed training run.  The reference values
-were recorded before the network's forward and backward passes were merged
-into ``ratnet`` (numpy 2.4.6, OpenBLAS), and the whole file runs in seconds.
+solves at nx 64, a short fixed-seed training run, and the parameter layout
+(flat vector and weight-file bytes of fresh networks and of the benchmark's
+network).  The reference values were recorded before the network's forward
+and backward passes were merged into ``ratnet``, and the layout entries before
+``NetParams`` became views of one flat vector (numpy 2.4.6, OpenBLAS); the
+whole file runs in seconds.
 """
 
 import hashlib
@@ -24,6 +27,8 @@ GOLDEN = json.loads((Path(__file__).parent / "golden.json").read_text())
 
 SCHEMES = ("weno3-js", "weno3-z", "weno5-js", "quick", "ideal3", "nn")
 PROBLEMS = ("advection-cosine", "burgers-shock")
+ARCHS = ((4, 4), (4, 4, 4), (4, 8, 4, 4))
+BENCH_WEIGHTS = Path(__file__).parents[1] / "bench" / "data" / "nn_weights.json"
 
 
 def golden_params():
@@ -86,3 +91,17 @@ def test_short_training_run():
     assert np.linalg.norm(theta - ref) <= 1e-12 * np.linalg.norm(ref)
     for name, order in GOLDEN["train_orders"].items():
         assert model.orders[name] == pytest.approx(order, abs=1e-10)
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_init_layout_bits(arch):
+    params = rn.init_params(arch, np.random.default_rng(0))
+    key = ",".join(map(str, arch))
+    assert sha256(rn.params_to_vector(params)) == GOLDEN["layout"]["init_vector_sha256"][key]
+    text = rn.params_to_json(params).encode()
+    assert hashlib.sha256(text).hexdigest() == GOLDEN["layout"]["init_json_sha256"][key]
+
+
+def test_weight_file_layout_bits():
+    theta = rn.params_to_vector(rn.load_params(BENCH_WEIGHTS))
+    assert sha256(theta) == GOLDEN["layout"]["bench_weights_vector_sha256"]

@@ -1,5 +1,8 @@
 """Unit tests for the rational network: evaluation, features, ENO filter, IO."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -43,14 +46,14 @@ def test_delta_features_examples():
 
 def test_rational_features_identity_rationals():
     ident = rn.RationalCoeffs([0, 1, 0, 0], [1, 0, 0])
-    feats = rn.rational_features([0.0, 1.0, 3.0], [ident.copy() for _ in range(4)])
+    feats = rn.rational_features([0.0, 1.0, 3.0], [ident] * 4)
     assert np.allclose(feats, np.array([1, 2, 3, 1]) / np.sqrt(15.0), rtol=1e-6)
     assert np.linalg.norm(feats) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rational_features_zero_branch():
     vanishing = rn.RationalCoeffs([0, 1, 1, 0], [1, 0, 0])  # p(0) = 0
-    feats = rn.rational_features([5.0, 5.0, 5.0], [vanishing.copy() for _ in range(4)])
+    feats = rn.rational_features([5.0, 5.0, 5.0], [vanishing] * 4)
     assert np.array_equal(feats, np.zeros(4))
 
 
@@ -269,7 +272,15 @@ def test_relu_fit_quality():
     params = rn.init_params(arch=(4, 8, 4), rng=np.random.default_rng(0))
     for r in params.feat + [layer.act for layer in params.layers]:
         assert r.p.tobytes() == c.p.tobytes() and r.q.tobytes() == c.q.tobytes()
-    assert params.feat[0].p is not params.feat[1].p  # every rational owns its arrays
+    # every block is its own slice of theta: no two overlap, each lies in theta
+    blocks = [params.head_W, params.head_b]
+    for r in params.feat + [layer.act for layer in params.layers]:
+        blocks += [r.p, r.q]
+    for layer in params.layers:
+        blocks += [layer.W, layer.b]
+    for i, a in enumerate(blocks):
+        assert np.shares_memory(a, params.theta)
+        assert not any(np.shares_memory(a, b) for b in blocks[i + 1 :])
 
 
 def test_init_rationals_near_relu():
@@ -329,6 +340,23 @@ def test_vector_roundtrip():
     assert np.array_equal(vec, back)
     with pytest.raises(ValueError):
         rn.vector_to_params(vec[:-1])
+
+
+def test_vector_writes_through_and_never_aliases():
+    params = random_params(7)
+    before = rn.params_to_vector(params)
+    params.layers[0].W[1, 2] += 1.0  # a write through the layer form reaches the vector
+    after = rn.params_to_vector(params)
+    assert np.flatnonzero(after != before).size == 1
+    vec = rn.params_to_vector(params)
+    built = rn.vector_to_params(vec)
+    assert not np.shares_memory(rn.params_to_vector(built), vec)
+    vec[:] = 0.0  # nor does the built network see later writes to its input
+    assert np.array_equal(rn.params_to_vector(built), after)
+    for clone in (pickle.loads(pickle.dumps(params)), copy.deepcopy(params)):
+        assert not np.shares_memory(clone.theta, params.theta)
+        clone.head_b[0] += 1.0  # a copy's views are views of the copy's vector
+        assert clone.theta[-2] == after[-2] + 1.0 and params.theta[-2] == after[-2]
 
 
 def test_weight_file_roundtrip_bit_stable(tmp_path):
