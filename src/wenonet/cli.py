@@ -418,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train one or more stencil-weight networks")
     _add_common(p, config=True)
-    p.add_argument("--jobs", type=int, default=1, help="models trained at once (threads)")
+    p.add_argument("--jobs", type=int, default=1, help="models trained at once (processes)")
     p.add_argument("--dataset", required=True, help="dataset CSV from gen-data")
     p.add_argument("--steps", type=int, default=None, help="Adam steps per model")
     p.add_argument("--batch-size", type=int, default=None)

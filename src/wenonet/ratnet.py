@@ -15,10 +15,12 @@ the rationals, layers and head are views of it.  The block table
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -94,7 +96,8 @@ class DenseLayer:
     act: RationalCoeffs
 
 
-def _blocks(arch: tuple[int, ...]) -> list:
+@functools.lru_cache(maxsize=None)
+def _blocks(arch: tuple[int, ...]) -> tuple:
     """The block table: (weight-file path, shape) of every block, in theta order."""
 
     def rational(*head):
@@ -104,7 +107,20 @@ def _blocks(arch: tuple[int, ...]) -> list:
     for i, (n_in, n_out) in enumerate(zip(arch[:-1], arch[1:])):
         table += [(("layers", i, "W"), (n_out, n_in)), (("layers", i, "b"), (n_out,))]
         table += rational("layers", i, "act")
-    return table + [(("head", "W"), (2, arch[-1])), (("head", "b"), (2,))]
+    return tuple(table + [(("head", "W"), (2, arch[-1])), (("head", "b"), (2,))])
+
+
+@functools.lru_cache(maxsize=None)
+def _slices(arch: tuple[int, ...]) -> MappingProxyType:
+    """Each block's slice of theta, keyed by its path in ``_blocks(arch)``.
+
+    The head bias is the last block, so its ``stop`` is theta's length.
+    """
+    out, pos = {}, 0
+    for path, shape in _blocks(arch):
+        out[path] = slice(pos, pos + math.prod(shape))
+        pos += math.prod(shape)
+    return MappingProxyType(out)
 
 
 @dataclass
@@ -125,12 +141,10 @@ class NetParams:
     def __post_init__(self):
         theta = self.theta = np.ascontiguousarray(self.theta, dtype=float)
         arch = self.arch = tuple(self.arch)
-        v, pos = {}, 0  # a view per block, keyed by path
-        for path, shape in _blocks(arch):
-            v[path] = theta[pos : pos + math.prod(shape)].reshape(shape)
-            pos += math.prod(shape)
-        if theta.shape != (pos,):
+        at = _slices(arch)
+        if theta.shape != (at["head", "b"].stop,):
             raise ValueError(f"vector length {theta.size} does not match arch {arch}")
+        v = {path: theta[at[path]].reshape(shape) for path, shape in _blocks(arch)}
 
         def rational(*head):
             return RationalCoeffs(v[(*head, "p")], v[(*head, "q")])
@@ -271,23 +285,30 @@ def backward(params: NetParams, tape: list, d_weights) -> np.ndarray:
     ``tape`` is the list that ``forward(params, stencils, tape)`` filled for
     stencils of shape (n, 3), and ``d_weights`` (n, 2) is the loss gradient
     with respect to its output.  The tape is consumed.  Each block's gradient
-    is written into the same view of the returned vector.
+    is written into its ``_slices(arch)`` slice of the returned vector.
     """
-    grad = NetParams(np.zeros_like(params.theta), params.arch, params.c_eno)
+    grad = np.zeros_like(params.theta)
+    at = _slices(params.arch)
+
+    def put(path, value):
+        grad[at[path]] = np.ravel(value)
+
     a, w = tape.pop()
     d_z = w * (d_weights - np.sum(d_weights * w, axis=1, keepdims=True))
-    grad.head_W[:], grad.head_b[:] = d_z.T @ a, d_z.sum(axis=0)
+    put(("head", "W"), d_z.T @ a)
+    put(("head", "b"), d_z.sum(axis=0))
     d_a = d_z @ params.head_W
 
-    for layer, g in zip(reversed(params.layers), reversed(grad.layers)):
+    for i, layer in reversed(list(enumerate(params.layers))):
         a_in, z = tape.pop()
         # one rational shared by every entry of z
         act = layer.act
-        d_z, g.act.p[:], g.act.q[:] = _rational_backward(
-            act.p, act.q, z.ravel(), d_a.ravel()
-        )
+        d_z, dp, dq = _rational_backward(act.p, act.q, z.ravel(), d_a.ravel())
+        put(("layers", i, "act", "p"), dp)
+        put(("layers", i, "act", "q"), dq)
         d_z = d_z.reshape(z.shape)
-        g.W[:], g.b[:] = d_z.T @ a_in, d_z.sum(axis=0)
+        put(("layers", i, "W"), d_z.T @ a_in)
+        put(("layers", i, "b"), d_z.sum(axis=0))
         d_a = d_z @ layer.W
 
     a, small, safe = tape.pop()
@@ -297,9 +318,10 @@ def backward(params: NetParams, tape: list, d_weights) -> np.ndarray:
     deltas = tape.pop()
     p, q = _feature_coeffs(params.feat, deltas.ndim)
     _, dp, dq = _rational_backward(p, q, deltas, d_alpha)
-    for j, g in enumerate(grad.feat):
-        g.p[:], g.q[:] = dp[:, j], dq[:, j]
-    return grad.theta
+    for j in range(FEATURE_COUNT):
+        put(("feat", j, "p"), dp[:, j])
+        put(("feat", j, "q"), dq[:, j])
+    return grad
 
 
 def eno_filter(weights, c_eno: float = C_ENO_DEFAULT):
@@ -355,7 +377,7 @@ def init_params(
         raise ValueError(f"first hidden width must be {FEATURE_COUNT}, got {arch[0]}")
     if rng is None:
         rng = np.random.default_rng(0)
-    n = sum(math.prod(shape) for _, shape in _blocks(arch))
+    n = _slices(tuple(arch))["head", "b"].stop
     params = NetParams(np.zeros(n), arch, c_eno)
     for r in params.feat + [layer.act for layer in params.layers]:
         r.p[:], r.q[:] = RELU_P, RELU_Q

@@ -1,11 +1,12 @@
 """Acceptance gate: one test per criterion, each printing a verdict line.
 
 The network criteria train a six-seed sweep from scratch on the full default
-dataset (several minutes on one core) and evaluate the model selected by the
-sine-step convergence criterion; run with ``-s`` to see the per-criterion
-report lines.
+dataset (several minutes, one model per core at a time) and evaluate the model
+selected by the sine-step convergence criterion; run with ``-s`` to see the
+per-criterion report lines.
 """
 
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -66,7 +67,7 @@ def sweep():
         )
         for alpha, beta_d, seed in SWEEP_VARIANTS
     ]
-    return tr.run_sweep(dataset, configs, val)
+    return tr.run_sweep(dataset, configs, val, jobs=len(os.sched_getaffinity(0)))
 
 
 @pytest.fixture(scope="module")

@@ -128,6 +128,13 @@ def test_zero_valued_flags_are_kept(tmp_path):
     assert not (tmp_path / "d0").exists()
 
 
+def test_train_jobs_below_one_exit_2(tmp_path, capsys):
+    code, out = _train_small(tmp_path, "--steps", "5", "--jobs", "0")
+    assert code == 2
+    assert "jobs must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_config_with_no_models_exit_2(tmp_path, capsys):
     data = tmp_path / "data"
     run_cli("gen-data", "--out", str(data), "--nx-values", "16", "--pairs-per-grid", "64")

@@ -1,5 +1,7 @@
 """Unit tests for losses, gradients, the optimizer, and model selection."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -282,7 +284,7 @@ def test_run_sweep_populates_validation_losses():
     assert all(set(m.orders) == {"sine_cubed", "sine_step"} for m in models)
 
 
-def test_run_sweep_threads_keep_order_and_bits():
+def test_run_sweep_processes_keep_order_and_bits():
     ds = small_dataset(seed=1)
     val = small_dataset(seed=2)
     configs = [
@@ -290,13 +292,38 @@ def test_run_sweep_threads_keep_order_and_bits():
         for s, lr in ((4, 2e-3), (7, 5e-4))
     ]
     serial = tr.run_sweep(ds, configs, val, jobs=1, eval_grids=(16, 32))
-    threaded = tr.run_sweep(ds, configs, val, jobs=2, eval_grids=(16, 32))
-    for a, b, cfg in zip(serial, threaded, configs):
+    forked = tr.run_sweep(ds, configs, val, jobs=2, eval_grids=(16, 32))
+    for a, b, cfg in zip(serial, forked, configs):
         assert a.config is cfg and b.config is cfg
         assert rn.params_to_vector(a.params).tobytes() == rn.params_to_vector(b.params).tobytes()
         assert a.log.tobytes() == b.log.tobytes()
         assert (a.recon_loss, a.dev_loss, a.orders) == (b.recon_loss, b.dev_loss, b.orders)
+        # the unpickled parameters are views of their own theta again
+        assert np.shares_memory(b.params.layers[0].W, b.params.theta)
     assert serial[0].log.tobytes() != serial[1].log.tobytes()
+
+
+def test_run_sweep_worker_errors_propagate_and_no_worker_outlives_it():
+    ds = small_dataset(seed=1)
+    ubar = ds.ubar.copy()
+    ubar[::7] = np.nan  # every batch draws some of these rows
+    bad = fs.Dataset(ubar, ds.target, ds.nx)
+    configs = [
+        tr.TrainConfig(total_steps=5, warmup_steps=1, batch_size=64, seed=s) for s in (0, 1)
+    ]
+    messages = []
+    for jobs in (1, 2):
+        with pytest.raises(RuntimeError, match="non-finite loss contribution") as exc:
+            tr.run_sweep(bad, configs, jobs=jobs, eval_grids=(16, 32))
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert multiprocessing.active_children() == []
+
+
+def test_run_sweep_validates_jobs():
+    with pytest.raises(ValueError, match="jobs"):
+        tr.run_sweep(small_dataset(), [tr.TrainConfig(total_steps=1)], jobs=0)
+    assert tr.run_sweep(small_dataset(), [], jobs=4) == []
 
 
 def test_train_config_rejects_invalid_counts():
