@@ -35,7 +35,7 @@ for family in fs.TRAIN_FAMILIES:
 cfg = fs.DatasetConfig(nx_values=(16, 32, 64), pairs_per_grid=1024, seed=7)
 ds = fs.build_dataset(cfg)
 print(f"\ndataset rows: {len(ds)} (= 3 grids x 1024 pairs)")
-print("row 0:", ds[0])
+print("row 0: stencil", ds.ubar[0], "target", ds.target[0], "nx", ds.nx[0])
 assert np.all(ds.target >= ds.ubar.min(axis=1))
 assert np.all(ds.target <= ds.ubar.max(axis=1))
 

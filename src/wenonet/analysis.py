@@ -24,12 +24,7 @@ __all__ = [
     "convergence_study",
     "emit_report",
     "parse_report",
-    "ADR_COLUMNS",
-    "CONVERGENCE_COLUMNS",
 ]
-
-ADR_COLUMNS = ("scheme", "kappa_dx", "dispersion", "dissipation", "leakage")
-CONVERGENCE_COLUMNS = ("scheme", "nx", "dx", "error", "slope")
 
 #: Fraction of a cell crossing used for the one-step mode evolution.
 ADR_DT_FRACTION = 1e-3
@@ -148,13 +143,15 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def emit_report(rows, path, metadata: dict | None = None, columns=None) -> None:
-    """Write dict-like rows as CSV with a leading ``# key=value`` metadata line."""
+def emit_report(rows, path, metadata: dict | None = None) -> None:
+    """Write dict-like rows as CSV with a leading ``# key=value`` metadata line.
+
+    The columns are the first row's keys (or dataclass fields), in order.
+    """
     rows = list(rows)
     if not rows:
         raise ValueError("refusing to emit an empty report")
-    first = rows[0] if isinstance(rows[0], dict) else vars(rows[0])
-    cols = list(columns) if columns is not None else list(first)
+    cols = list(rows[0] if isinstance(rows[0], dict) else vars(rows[0]))
     meta = metadata or {}
     lines = ["# " + ", ".join(f"{k}={v}" for k, v in meta.items())]
     lines.append(",".join(cols))
@@ -185,10 +182,15 @@ def parse_report(path):
                     k, v = item.split("=", 1)
                     meta[k] = v
         lines = lines[1:]
+    if not lines:
+        raise ValueError(f"report {path} has no header line")
     cols = lines[0].split(",")
-    rows = [
-        {c: _parse_cell(v) for c, v in zip(cols, line.split(","))}
-        for line in lines[1:]
-        if line
-    ]
+    rows = []
+    for line in filter(None, lines[1:]):
+        cells = line.split(",")
+        if len(cells) != len(cols):
+            raise ValueError(
+                f"report {path}: a row has {len(cells)} cells, the header {len(cols)}"
+            )
+        rows.append(dict(zip(cols, map(_parse_cell, cells))))
     return rows, meta

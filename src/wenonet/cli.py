@@ -2,11 +2,12 @@
 
 ``gen-data`` and ``train`` resolve their settings from an optional JSON
 ``--config`` file plus flag overrides (flags win).  Every subcommand but
-``select``, which only prints a model id, writes its outputs and a manifest of
-the resolved settings under ``--out``.  Runs are deterministic given (config,
-seed): rerunning reproduces data artifacts byte for byte, and ``train --jobs``
-changes only how many models train at once.  Exit codes: 0 success,
-1 runtime failure, 2 usage or config error.
+``select``, which only prints a model id, writes its outputs under ``--out``
+and returns its resolved settings, which ``main`` writes there as a manifest.
+Runs are deterministic given (config, seed): rerunning reproduces data
+artifacts byte for byte, and ``train --jobs`` changes only how many models
+train at once.  Exit codes: 0 success, 1 runtime failure, 2 usage or config
+error.
 """
 
 from __future__ import annotations
@@ -49,17 +50,6 @@ RECON_TARGETS = {
 }
 
 REGISTRY_NAME = "models.csv"
-REGISTRY_COLUMNS = (
-    "model_id",
-    "alpha",
-    "beta_d",
-    "peak_lr",
-    "order_g",
-    "order_h",
-    "recon_loss",
-    "dev_loss",
-    "criterion",
-)
 
 
 def make_scheme(name: str):
@@ -93,6 +83,14 @@ def _config_values(path: str | None):
         raise ValueError(f"config file {path}: a value has the wrong type ({e})") from e
 
 
+def _typed(value, kind: type, name: str):
+    """``value`` if it is a ``kind`` (dict or list), else a usage error naming the field."""
+    if not isinstance(value, kind):
+        what = "an object" if kind is dict else "a list"
+        raise ValueError(f"config field {name!r} must be {what}, not {type(value).__name__}")
+    return value
+
+
 def _flag_or(flag, config: dict, key: str, default):
     """The flag if it was given (0 included), else the config's ``key``, else ``default``."""
     return flag if flag is not None else config.get(key, default)
@@ -104,24 +102,20 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_manifest(out: Path, command: str, resolved: dict, wall_time: float) -> None:
+def _write_manifest(args, resolved: dict, wall_time: float) -> None:
+    """``<command>-manifest.txt`` under ``--out``: a comment line, then the settings."""
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    body = json.dumps(
-        {"command": command, "version": __version__, **resolved},
-        indent=2,
-        sort_keys=True,
-        default=str,
-    )
+    doc = {"command": args.command, "version": __version__, **resolved}
+    body = json.dumps(doc, indent=2, sort_keys=True, default=str)
     text = f"# generated: {stamp}; wall_time_s={wall_time:.3f}\n{body}\n"
-    (out / f"{command}-manifest.txt").write_text(text)
+    (Path(args.out) / f"{args.command}-manifest.txt").write_text(text)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_gen_data(args) -> int:
-    t0 = time.perf_counter()
+def cmd_gen_data(args) -> dict:
     config = _load_config(args.config)
     nx_values = config.get("nx_values", DatasetConfig.nx_values)
     if args.nx_values is not None:
@@ -134,19 +128,13 @@ def cmd_gen_data(args) -> int:
     dataset = build_dataset(cfg)
     out = _out_dir(args)
     dataset.save_csv(out / "dataset.csv")
-    _write_manifest(
-        out,
-        "gen-data",
-        {
-            "nx_values": list(cfg.nx_values),
-            "pairs_per_grid": cfg.pairs_per_grid,
-            "seed": cfg.seed,
-            "rows": len(dataset),
-        },
-        time.perf_counter() - t0,
-    )
     print(f"wrote {len(dataset)} samples to {out / 'dataset.csv'}")
-    return 0
+    return {
+        "nx_values": list(cfg.nx_values),
+        "pairs_per_grid": cfg.pairs_per_grid,
+        "seed": cfg.seed,
+        "rows": len(dataset),
+    }
 
 
 def _train_configs(config: dict, args) -> list[train.TrainConfig]:
@@ -162,7 +150,8 @@ def _train_configs(config: dict, args) -> list[train.TrainConfig]:
     seed0 = _flag_or(args.seed, config, "seed", 0)
     if "configs" in config:
         out = []
-        for i, raw in enumerate(config["configs"]):
+        for i, raw in enumerate(_typed(config["configs"], list, "configs")):
+            _typed(raw, dict, f"configs[{i}]")
             hyper = train.LossHyper(
                 alpha=float(raw.get("alpha", train.LossHyper.alpha)),
                 beta_d=float(raw.get("beta_d", train.LossHyper.beta_d)),
@@ -179,7 +168,7 @@ def _train_configs(config: dict, args) -> list[train.TrainConfig]:
                 )
             )
     else:
-        sweep = config.get("sweep", {})
+        sweep = _typed(config.get("sweep", {}), dict, "sweep")
         out = train.sweep_grid(
             alphas=tuple(sweep.get("alphas", train.DEFAULT_SWEEP_ALPHAS)),
             beta_ds=tuple(sweep.get("beta_ds", train.DEFAULT_SWEEP_BETA_D)),
@@ -192,8 +181,7 @@ def _train_configs(config: dict, args) -> list[train.TrainConfig]:
     return out
 
 
-def cmd_train(args) -> int:
-    t0 = time.perf_counter()
+def cmd_train(args) -> dict:
     config = _load_config(args.config)
     dataset = Dataset.load_csv(args.dataset)
     with _config_values(args.config):
@@ -202,7 +190,7 @@ def cmd_train(args) -> int:
             raw.get("criterion", "") for raw in config.get("configs", [])
         ] or [""] * len(configs)
 
-        val_raw = config.get("val", {})
+        val_raw = _typed(config.get("val", {}), dict, "val")
         default_nx = sorted(set(map(int, np.unique(dataset.nx))))
         val_cfg = DatasetConfig(
             nx_values=tuple(val_raw.get("nx_values", default_nx)),
@@ -243,22 +231,15 @@ def cmd_train(args) -> int:
         rows,
         out / REGISTRY_NAME,
         metadata={"version": __version__, "seed": configs[0].seed},
-        columns=REGISTRY_COLUMNS,
     )
     print(accounting_report(models[0].params))
-    _write_manifest(
-        out,
-        "train",
-        {
-            "dataset": str(args.dataset),
-            "n_models": len(models),
-            "val": dataclasses.asdict(val_cfg),
-            "configs": [dataclasses.asdict(c) for c in configs],
-        },
-        time.perf_counter() - t0,
-    )
     print(f"trained {len(models)} models into {out}")
-    return 0
+    return {
+        "dataset": str(args.dataset),
+        "n_models": len(models),
+        "val": dataclasses.asdict(val_cfg),
+        "configs": [dataclasses.asdict(c) for c in configs],
+    }
 
 
 def _choice(name: str, valid, what: str) -> str:
@@ -269,7 +250,7 @@ def _choice(name: str, valid, what: str) -> str:
     return name
 
 
-def cmd_select(args) -> int:
+def cmd_select(args) -> None:
     criterion = _choice(args.criterion, train.SELECTION_CRITERIA, "criterion")
     rows, _ = analysis.parse_report(Path(args.registry))
     keys = ("order_g", "order_h", "recon_loss", "dev_loss")
@@ -278,61 +259,43 @@ def cmd_select(args) -> int:
         raise ValueError(f"registry {args.registry} lacks columns {missing}")
     best = train.select_index([[float(r[k]) for k in keys] for r in rows], criterion)
     print(rows[best]["model_id"])
-    return 0
 
 
 def _resolve_problem(args) -> solver.Problem:
     return PROBLEMS[_choice(args.problem, PROBLEMS, "problem")](args.T, args.cfl)
 
 
-def cmd_solve(args) -> int:
-    t0 = time.perf_counter()
+def cmd_solve(args) -> dict:
     problem = _resolve_problem(args)
     scheme = make_scheme(args.scheme)
     grid = solver.default_grid(problem, args.nx)
     report = solver.run(problem, grid, scheme)
     out = _out_dir(args)
     exact = solver.exact_cell_averages(problem, grid, report.t_final)
+    meta = {"version": __version__, "scheme": scheme.name, "nx": grid.nx}
     sol_rows = [
         {"x": x, "u": u, "u_exact": e}
         for x, u, e in zip(grid.centers, report.final_state, exact)
     ]
-    analysis.emit_report(
-        sol_rows,
-        out / "solution.csv",
-        metadata={"version": __version__, "scheme": scheme.name, "nx": grid.nx},
-    )
-    err_rows = [
-        {"t": t, "l1": e} for t, e in zip(report.times, report.l1_errors)
-    ]
-    analysis.emit_report(
-        err_rows,
-        out / "error_series.csv",
-        metadata={"version": __version__, "scheme": scheme.name, "nx": grid.nx},
-    )
-    _write_manifest(
-        out,
-        "solve",
-        {
-            "problem": args.problem,
-            "scheme": scheme.name,
-            "nx": grid.nx,
-            "cfl": problem.cfl,
-            "T": problem.T,
-            "final_l1": report.final_error,
-        },
-        time.perf_counter() - t0,
-    )
+    analysis.emit_report(sol_rows, out / "solution.csv", meta)
+    err_rows = [{"t": t, "l1": e} for t, e in zip(report.times, report.l1_errors)]
+    analysis.emit_report(err_rows, out / "error_series.csv", meta)
     print(
         f"{scheme.name} nx={grid.nx} cfl={problem.cfl} T={problem.T}: "
         f"final L1 error {report.final_error:.6g} "
         f"({report.wall_time:.2f}s)"
     )
-    return 0
+    return {
+        "problem": args.problem,
+        "scheme": scheme.name,
+        "nx": grid.nx,
+        "cfl": problem.cfl,
+        "T": problem.T,
+        "final_l1": report.final_error,
+    }
 
 
-def cmd_converge(args) -> int:
-    t0 = time.perf_counter()
+def cmd_converge(args) -> dict:
     schemes = [make_scheme(name) for name in args.schemes.split(",")]
     nx_list = [int(v) for v in args.nx_list.split(",")]
     _choice(args.problem, [*PROBLEMS, *RECON_TARGETS], "problem")
@@ -346,22 +309,14 @@ def cmd_converge(args) -> int:
         rows,
         out / "convergence.csv",
         metadata={"version": __version__, "problem": args.problem},
-        columns=analysis.CONVERGENCE_COLUMNS,
     )
     for scheme in schemes:
         slope = next(r.slope for r in rows if r.scheme == scheme.name)
         print(f"{scheme.name}: slope {slope:.3f}")
-    _write_manifest(
-        out,
-        "converge",
-        {"problem": args.problem, "schemes": args.schemes, "nx_list": nx_list},
-        time.perf_counter() - t0,
-    )
-    return 0
+    return {"problem": args.problem, "schemes": args.schemes, "nx_list": nx_list}
 
 
-def cmd_adr(args) -> int:
-    t0 = time.perf_counter()
+def cmd_adr(args) -> dict:
     schemes = [make_scheme(name) for name in args.schemes.split(",")]
     kappas = analysis.default_kappa_grid(args.modes)
     rows = [
@@ -380,16 +335,9 @@ def cmd_adr(args) -> int:
         rows,
         out / "adr.csv",
         metadata={"version": __version__, "nx": args.nx},
-        columns=analysis.ADR_COLUMNS,
-    )
-    _write_manifest(
-        out,
-        "adr",
-        {"schemes": args.schemes, "nx": args.nx, "modes": args.modes},
-        time.perf_counter() - t0,
     )
     print(f"wrote {len(rows)} spectral samples to {out / 'adr.csv'}")
-    return 0
+    return {"schemes": args.schemes, "nx": args.nx, "modes": args.modes}
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +407,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; a command that returns its resolved settings gets a manifest."""
     args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        resolved = args.func(args)
+        if resolved is not None:
+            _write_manifest(args, resolved, time.perf_counter() - t0)
+        return 0
     except (ValueError, OSError) as e:  # json.JSONDecodeError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -24,7 +24,6 @@ __all__ = [
     "sample_function",
     "eval_function",
     "cell_average",
-    "interface_value",
     "discretize",
     "face_targets",
     "build_dataset",
@@ -259,15 +258,6 @@ def cell_average(spec: FunctionSpec, lo: float, hi: float) -> float:
     """Exact mean of the function over [lo, hi] from the antiderivative."""
     _check_interval(spec, lo, hi)
     return spec.integral(lo, hi) / (hi - lo)
-
-
-def interface_value(spec: FunctionSpec, x: float) -> float:
-    """Exact value at a face; the left limit if x is a jump abscissa."""
-    a, b = spec.domain
-    tol = 1e-12 * max(1.0, abs(a), abs(b))
-    if x < a - tol or x > b + tol:
-        raise ValueError(f"x={x} outside domain [{a}, {b}]")
-    return float(spec.value(x))
 
 
 def discretize(spec: FunctionSpec, nx: int) -> tuple[np.ndarray, float]:

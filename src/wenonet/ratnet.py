@@ -47,6 +47,8 @@ __all__ = [
     "accounting_report",
     "params_to_vector",
     "vector_to_params",
+    "params_to_json",
+    "params_from_json",
     "save_params",
     "load_params",
 ]
@@ -346,10 +348,10 @@ def eno_filter(weights, c_eno: float = C_ENO_DEFAULT):
     return np.stack([w0, 1.0 - w0], axis=-1)
 
 
-def nn_reconstruct(params: NetParams, stencils, c_eno: float | None = None):
+def nn_reconstruct(params: NetParams, stencils):
     """Inference-time face value: thresholded network weights on the interpolants."""
     s = np.asarray(stencils, dtype=float)
-    w = eno_filter(forward(params, s), params.c_eno if c_eno is None else c_eno)
+    w = eno_filter(forward(params, s), params.c_eno)
     i0, i1 = interpolants3(s[..., 0], s[..., 1], s[..., 2])
     return w[..., 0] * i0 + w[..., 1] * i1
 

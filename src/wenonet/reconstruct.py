@@ -87,28 +87,18 @@ class _Scheme3:
 class Weno3JS(_Scheme3):
     name = "weno3-js"
 
-    def __init__(self, eps: float = EPS_DEFAULT):
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        self.eps = eps
-
     def face_value(self, windows):
         um1, u0, up1 = self._cols(windows)
-        w0, w1 = weno3_js_weights(um1, u0, up1, self.eps)
+        w0, w1 = weno3_js_weights(um1, u0, up1)
         return reconstruct_minus(um1, u0, up1, w0, w1)
 
 
 class Weno3Z(_Scheme3):
     name = "weno3-z"
 
-    def __init__(self, eps: float = EPS_DEFAULT):
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        self.eps = eps
-
     def face_value(self, windows):
         um1, u0, up1 = self._cols(windows)
-        w0, w1 = weno3_z_weights(um1, u0, up1, self.eps)
+        w0, w1 = weno3_z_weights(um1, u0, up1)
         return reconstruct_minus(um1, u0, up1, w0, w1)
 
 
@@ -134,11 +124,6 @@ class Weno5JS:
     name = "weno5-js"
     width = 5
 
-    def __init__(self, eps: float = EPS_DEFAULT):
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        self.eps = eps
-
     def face_value(self, windows):
         w = np.asarray(windows, dtype=float)
-        return weno5_js(w[..., 0], w[..., 1], w[..., 2], w[..., 3], w[..., 4], self.eps)
+        return weno5_js(w[..., 0], w[..., 1], w[..., 2], w[..., 3], w[..., 4])

@@ -10,7 +10,7 @@ stepping is three-stage SSP Runge-Kutta.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -209,10 +209,6 @@ class SolveReport:
     times: np.ndarray
     l1_errors: np.ndarray
     final_state: np.ndarray
-    scheme_name: str
-    nx: int
-    dx: float
-    cfl: float
     t_final: float
     wall_time: float = 0.0
 
@@ -243,15 +239,7 @@ def run(problem: Problem, grid: GridSpec, scheme) -> SolveReport:
         times.append(t)
         errors.append(l1_error(u, exact_cell_averages(problem, grid, t), grid.dx))
     return SolveReport(
-        np.asarray(times),
-        np.asarray(errors),
-        u,
-        scheme.name,
-        grid.nx,
-        grid.dx,
-        problem.cfl,
-        t,
-        time.perf_counter() - t0,
+        np.asarray(times), np.asarray(errors), u, t, time.perf_counter() - t0
     )
 
 

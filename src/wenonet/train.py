@@ -111,7 +111,6 @@ class TrainedModel:
     orders: dict[str, float] = field(default_factory=dict)
     recon_loss: float = float("nan")
     dev_loss: float = float("nan")
-    selection_tag: str = ""
     log: np.ndarray | None = None
     skipped_steps: int = 0
 
@@ -343,9 +342,7 @@ def select_model(models: list[TrainedModel], criterion: str) -> TrainedModel:
         (m.orders["sine_cubed"], m.orders["sine_step"], m.recon_loss, m.dev_loss)
         for m in models
     ]
-    chosen = models[select_index(rows, criterion)]
-    chosen.selection_tag = criterion
-    return chosen
+    return models[select_index(rows, criterion)]
 
 
 def sweep_grid(

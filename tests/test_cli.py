@@ -65,6 +65,14 @@ def test_config_value_of_wrong_type_exit_2(tmp_path, capsys):
     assert run_cli("train", "--dataset", str(tmp_path / "d" / "dataset.csv"),
                    "--config", str(cfg), "--out", str(tmp_path / "m")) == 2
     assert "wrong type" in capsys.readouterr().err
+    # a section of the wrong JSON type is named in the message
+    for doc, field in (({"configs": [1]}, "'configs[0]'"), ({"configs": {"a": 1}}, "'configs'"),
+                       ({"sweep": [1]}, "'sweep'"), ({"val": 5}, "'val'")):
+        cfg.write_text(json.dumps(doc))
+        assert run_cli("train", "--dataset", str(tmp_path / "d" / "dataset.csv"),
+                       "--config", str(cfg), "--out", str(tmp_path / "m")) == 2, doc
+        assert f"config field {field}" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
 
 
 def test_gen_data_config_file_with_flag_override(tmp_path):
@@ -373,8 +381,19 @@ def test_train_select_pipeline_small(tmp_path):
     assert code == 2
 
 
-def test_select_on_missing_registry_exit_2(tmp_path):
+def test_select_on_missing_registry_exit_2(tmp_path, capsys):
     assert run_cli("select", "--registry", str(tmp_path / "no.csv"), "--criterion", "conv-sine-step") == 2
+    registry = tmp_path / "models.csv"
+    header = "model_id,alpha,beta_d,peak_lr,order_g,order_h,recon_loss,dev_loss,criterion"
+    for text, message in (
+        ("", "no header line"),
+        ("# version=0.1.0, seed=0\n", "no header line"),
+        (f"# seed=0\n{header}\nmodel_000,0.1,0.1,1e-4,2.0\n", "a row has 5 cells, the header 9"),
+        (f"{header}\n", "no models to select from"),
+    ):
+        registry.write_text(text)
+        assert run_cli("select", "--registry", str(registry), "--criterion", "conv-sine-step") == 2
+        assert message in capsys.readouterr().err
 
 
 def test_select_picks_order_closest_to_three(tmp_path, capsys):
@@ -393,3 +412,62 @@ def test_select_picks_order_closest_to_three(tmp_path, capsys):
     )
     assert code == 0
     assert capsys.readouterr().out.strip() == "model_001"
+
+
+@pytest.fixture(scope="module")
+def small_inputs(tmp_path_factory):
+    """A tiny dataset, a one-model train config and a weight file."""
+    root = tmp_path_factory.mktemp("inputs")
+    assert run_cli("gen-data", "--out", str(root), "--nx-values", "16",
+                   "--pairs-per-grid", "64") == 0
+    (root / "one.json").write_text(json.dumps({
+        "configs": [{"peak_lr": 2e-3}],
+        "val": {"nx_values": [16], "pairs_per_grid": 32},
+    }))
+    rn.save_params(rn.init_params(rng=np.random.default_rng(0)), root / "w.json")
+    return root
+
+
+MANIFEST_CASES = {
+    "gen-data": (["--nx-values", "16", "--pairs-per-grid", "32"],
+                 ["nx_values", "pairs_per_grid", "seed", "rows"]),
+    "train": (["--dataset", "{in}/dataset.csv", "--config", "{in}/one.json",
+               "--steps", "3", "--batch-size", "32"],
+              ["dataset", "n_models", "val", "configs"]),
+    "solve": (["--problem", "advection-cosine", "--scheme", "nn:{in}/w.json",
+               "--nx", "16", "--T", "0.1"],
+              ["problem", "scheme", "nx", "cfl", "T", "final_l1"]),
+    "converge": (["--problem", "recon-sine-step", "--schemes", "weno3-js",
+                  "--nx-list", "16,32,64"],
+                 ["problem", "schemes", "nx_list"]),
+    "adr": (["--schemes", "weno3-js", "--nx", "16", "--modes", "2"],
+            ["schemes", "nx", "modes"]),
+}
+
+
+@pytest.mark.parametrize("command", list(MANIFEST_CASES))
+def test_every_command_writes_its_manifest(tmp_path, small_inputs, command):
+    flags, keys = MANIFEST_CASES[command]
+    out = tmp_path / "out"
+    argv = [command, *(f.format(**{"in": small_inputs}) for f in flags), "--out", str(out)]
+    assert run_cli(*argv) == 0
+    head, body = (out / f"{command}-manifest.txt").read_text().split("\n", 1)
+    assert head.startswith("# generated:") and "wall_time_s=" in head
+    manifest = json.loads(body)
+    assert manifest["command"] == command
+    assert set(keys) | {"command", "version"} == set(manifest)
+
+
+def test_select_and_failing_commands_write_no_manifest(tmp_path, small_inputs, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = run_cli("train", "--dataset", str(small_inputs / "dataset.csv"),
+                   "--config", str(small_inputs / "one.json"), "--steps", "3",
+                   "--batch-size", "32", "--out", "models")
+    assert code == 0
+    assert run_cli("select", "--registry", "models/models.csv",
+                   "--criterion", "conv-sine-step") == 0
+    assert sorted(p.name for p in tmp_path.rglob("*manifest*")) == ["train-manifest.txt"]
+    assert run_cli("train", "--dataset", str(small_inputs / "dataset.csv"),
+                   "--config", str(small_inputs / "one.json"), "--jobs", "0",
+                   "--out", "failed") == 2
+    assert not (tmp_path / "failed").exists()

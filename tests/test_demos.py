@@ -1,0 +1,32 @@
+"""The fast demos run to completion.
+
+Demos 03 (training, about 7 s) and 04 (the advection benchmark, about 22 s)
+are left to be run by hand.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "01_exact_training_data.py",
+        "02_classical_reconstruction.py",
+        "05_burgers_riemann.py",
+        "06_spectral_fingerprint.py",
+    ],
+)
+def test_demo_runs(tmp_path, name):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, str(DEMOS / name)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -73,13 +73,11 @@ def test_cell_average_rejects_bad_interval():
 
 def test_interface_value_examples():
     cos_like = fs.FunctionSpec("sine", (2.0,), (0.0, 1.0))
-    assert fs.interface_value(cos_like, 0.5) == pytest.approx(0.0, abs=1e-15)
+    assert cos_like.value(0.5) == pytest.approx(0.0, abs=1e-15)
     h = fs.eval_function("sine_step")
-    assert fs.interface_value(h, 0.25) == pytest.approx(1.0, abs=1e-15)
+    assert h.value(0.25) == pytest.approx(1.0, abs=1e-15)
     step = fs.FunctionSpec("step", (0.0, 1.0), (0.0, 1.0))
-    assert fs.interface_value(step, 0.5) == 0.0  # left limit at the jump
-    with pytest.raises(ValueError):
-        fs.interface_value(step, 1.5)
+    assert step.value(0.5) == 0.0  # left limit at the jump
 
 
 def test_eval_functions():

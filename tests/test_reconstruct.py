@@ -172,5 +172,3 @@ def test_scheme_objects_halo_and_vectorization():
     windows = rng.normal(size=(10, 3))
     vals = rc.Weno3JS().face_value(windows)
     assert vals.shape == (10,)
-    with pytest.raises(ValueError):
-        rc.Weno3JS(eps=0.0)
