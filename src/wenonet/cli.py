@@ -1,19 +1,18 @@
 """Command-line pipeline orchestration with reproducible, config-driven runs.
 
 ``gen-data`` and ``train`` resolve their settings from an optional JSON
-``--config`` file plus flag overrides (flags win).  Every subcommand but
-``select``, which only prints a model id, writes its outputs under ``--out``
-and returns its resolved settings, which ``main`` writes there as a manifest.
-Runs are deterministic given (config, seed): rerunning reproduces data
-artifacts byte for byte, and ``train --jobs`` changes only how many models
-train at once.  Exit codes: 0 success, 1 runtime failure, 2 usage or config
-error.
+``--config`` file plus flag overrides (flags win), each section through one
+key table.  Every subcommand but ``select``, which only prints a model id,
+writes its outputs under ``--out`` and returns its resolved settings, which
+``main`` writes there as a manifest.  Runs are deterministic given (config,
+seed): rerunning reproduces data artifacts byte for byte, and ``train --jobs``
+changes only how many models train at once.  Exit codes: 0 success, 1 runtime
+failure, 2 usage or config error.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import datetime
 import json
@@ -29,11 +28,7 @@ from .ratnet import NNScheme, accounting_report, load_params, save_params
 from .reconstruct import IdealWeights3, Quick, Weno3JS, Weno3Z, Weno5JS
 
 CLASSICAL_SCHEMES = {
-    "weno3-js": Weno3JS,
-    "weno3-z": Weno3Z,
-    "weno5-js": Weno5JS,
-    "quick": Quick,
-    "ideal3": IdealWeights3,
+    cls.name: cls for cls in (Weno3JS, Weno3Z, Weno5JS, Quick, IdealWeights3)
 }
 
 PROBLEMS = {
@@ -65,6 +60,44 @@ def make_scheme(name: str):
     raise ValueError(f"unknown scheme {name!r}; valid schemes: {valid}")
 
 
+def _choice(name: str, valid, what: str) -> str:
+    """``name`` if it is one of ``valid``, else a ValueError listing them."""
+    if name not in valid:
+        choices = ", ".join(sorted(valid))
+        raise ValueError(f"unknown {what} {name!r}; choose one of: {choices}")
+    return name
+
+
+def _int_list(text: str) -> list[int]:
+    """Grid sizes from a comma-separated flag such as ``16,32,64``."""
+    return [int(v) for v in text.split(",")]
+
+
+def _list_of(cast):
+    """Cast of a JSON list whose items each go through ``cast``."""
+
+    def cast_list(value) -> tuple:
+        if not isinstance(value, list):
+            raise TypeError(f"expected a list, not {type(value).__name__}")
+        return tuple(map(cast, value))
+
+    return cast_list
+
+
+_LOSS_KEYS = ("alpha", "beta_d", "beta_w")
+
+#: Each config section's keys and their casts; a flag whose dest is a key overrides it.
+DATASET_KEYS = {"nx_values": _list_of(int), "pairs_per_grid": int, "seed": int}
+RUN_KEYS = {"total_steps": int, "batch_size": int, "warmup_steps": int, "seed": int}
+MODEL_KEYS = {
+    **RUN_KEYS,
+    "peak_lr": float,
+    **dict.fromkeys(_LOSS_KEYS, float),
+    "criterion": lambda v: _choice(v, train.SELECTION_CRITERIA, "criterion"),
+}
+SWEEP_KEYS = dict.fromkeys(("alphas", "beta_ds", "peak_lrs"), _list_of(float))
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
@@ -72,15 +105,6 @@ def _load_config(path: str | None) -> dict:
     if not isinstance(doc, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
     return doc
-
-
-@contextlib.contextmanager
-def _config_values(path: str | None):
-    """Report a config value of the wrong JSON type as a usage error."""
-    try:
-        yield
-    except TypeError as e:
-        raise ValueError(f"config file {path}: a value has the wrong type ({e})") from e
 
 
 def _typed(value, kind: type, name: str):
@@ -91,9 +115,29 @@ def _typed(value, kind: type, name: str):
     return value
 
 
-def _flag_or(flag, config: dict, key: str, default):
-    """The flag if it was given (0 included), else the config's ``key``, else ``default``."""
-    return flag if flag is not None else config.get(key, default)
+def _section(raw, keys: dict, where: str, args=None) -> dict:
+    """The ``keys`` that a flag in ``args`` or the section ``raw`` sets, cast; flags win.
+
+    ``where`` names the section in errors.  A nested section (``where`` not
+    empty) may hold only ``keys``; the top level may also hold the other
+    command's keys, since one file can serve ``gen-data`` and ``train``.
+    """
+    _typed(raw, dict, where)
+    unknown = [k for k in raw if k not in keys] if where else []
+    if unknown:
+        valid = ", ".join(keys)
+        raise ValueError(f"unknown config field '{where}.{unknown[0]}'; valid keys: {valid}")
+    out = {}
+    for key, cast in keys.items():
+        flag = getattr(args, key, None)
+        if flag is None and key not in raw:
+            continue
+        name = f"{where}.{key}" if where else key
+        try:
+            out[key] = cast(raw[key] if flag is None else flag)
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"config field {name!r} has the wrong type or value ({e})") from e
+    return out
 
 
 def _out_dir(args) -> Path:
@@ -116,87 +160,46 @@ def _write_manifest(args, resolved: dict, wall_time: float) -> None:
 
 
 def cmd_gen_data(args) -> dict:
-    config = _load_config(args.config)
-    nx_values = config.get("nx_values", DatasetConfig.nx_values)
-    if args.nx_values is not None:
-        nx_values = [int(v) for v in args.nx_values.split(",")]
-    pairs = _flag_or(args.pairs_per_grid, config, "pairs_per_grid",
-                     DatasetConfig.pairs_per_grid)
-    seed = _flag_or(args.seed, config, "seed", 0)
-    with _config_values(args.config):
-        cfg = DatasetConfig(tuple(nx_values), int(pairs), int(seed))
+    cfg = DatasetConfig(**_section(_load_config(args.config), DATASET_KEYS, "", args))
     dataset = build_dataset(cfg)
     out = _out_dir(args)
     dataset.save_csv(out / "dataset.csv")
     print(f"wrote {len(dataset)} samples to {out / 'dataset.csv'}")
-    return {
-        "nx_values": list(cfg.nx_values),
-        "pairs_per_grid": cfg.pairs_per_grid,
-        "seed": cfg.seed,
-        "rows": len(dataset),
-    }
+    return {**dataclasses.asdict(cfg), "rows": len(dataset)}
 
 
-def _train_configs(config: dict, args) -> list[train.TrainConfig]:
-    defaults = train.TrainConfig
-    total = _flag_or(args.steps, config, "total_steps", defaults.total_steps)
-    base = dict(
-        total_steps=total,
-        batch_size=_flag_or(args.batch_size, config, "batch_size", defaults.batch_size),
-        warmup_steps=_flag_or(
-            args.warmup_steps, config, "warmup_steps", max(total // 20, 1)
-        ),
-    )
-    seed0 = _flag_or(args.seed, config, "seed", 0)
+def _train_configs(config: dict, args) -> tuple[list[train.TrainConfig], list[str]]:
+    """Each model's ``TrainConfig`` and registry criterion, from ``configs`` or ``sweep``."""
+    base = _section(config, RUN_KEYS, "", args)
+    total = base.setdefault("total_steps", train.TrainConfig.total_steps)
+    base.setdefault("warmup_steps", max(total // 20, 1))
+    seed0 = base.pop("seed", 0)
     if "configs" in config:
-        out = []
+        configs, criteria = [], []
         for i, raw in enumerate(_typed(config["configs"], list, "configs")):
-            _typed(raw, dict, f"configs[{i}]")
-            hyper = train.LossHyper(
-                alpha=float(raw.get("alpha", train.LossHyper.alpha)),
-                beta_d=float(raw.get("beta_d", train.LossHyper.beta_d)),
-                beta_w=float(raw.get("beta_w", train.LossHyper.beta_w)),
-            )
-            out.append(
-                train.TrainConfig(
-                    peak_lr=float(raw.get("peak_lr", defaults.peak_lr)),
-                    warmup_steps=int(raw.get("warmup_steps", base["warmup_steps"])),
-                    total_steps=int(raw.get("total_steps", base["total_steps"])),
-                    batch_size=int(raw.get("batch_size", base["batch_size"])),
-                    seed=int(raw.get("seed", seed0 + i)),
-                    hyper=hyper,
-                )
-            )
+            model = {**base, "seed": seed0 + i, **_section(raw, MODEL_KEYS, f"configs[{i}]")}
+            criteria.append(model.pop("criterion", ""))
+            hyper = {k: model.pop(k) for k in _LOSS_KEYS if k in model}
+            configs.append(train.TrainConfig(**model, hyper=train.LossHyper(**hyper)))
     else:
-        sweep = _typed(config.get("sweep", {}), dict, "sweep")
-        out = train.sweep_grid(
-            alphas=tuple(sweep.get("alphas", train.DEFAULT_SWEEP_ALPHAS)),
-            beta_ds=tuple(sweep.get("beta_ds", train.DEFAULT_SWEEP_BETA_D)),
-            peak_lrs=tuple(sweep.get("peak_lrs", train.DEFAULT_SWEEP_PEAK_LR)),
-            seed0=seed0,
-            **base,
-        )
-    if not out:
+        sweep = _section(config.get("sweep", {}), SWEEP_KEYS, "sweep")
+        configs = train.sweep_grid(**sweep, seed0=seed0, **base)
+        criteria = [""] * len(configs)
+    if not configs:
         raise ValueError("the config trains no models (empty configs or sweep list)")
-    return out
+    return configs, criteria
 
 
 def cmd_train(args) -> dict:
     config = _load_config(args.config)
     dataset = Dataset.load_csv(args.dataset)
-    with _config_values(args.config):
-        configs = _train_configs(config, args)
-        declared = [
-            raw.get("criterion", "") for raw in config.get("configs", [])
-        ] or [""] * len(configs)
-
-        val_raw = _typed(config.get("val", {}), dict, "val")
-        default_nx = sorted(set(map(int, np.unique(dataset.nx))))
-        val_cfg = DatasetConfig(
-            nx_values=tuple(val_raw.get("nx_values", default_nx)),
-            pairs_per_grid=int(val_raw.get("pairs_per_grid", 4096)),
-            seed=int(val_raw.get("seed", configs[0].seed + 1000003)),
-        )
+    configs, criteria = _train_configs(config, args)
+    val_cfg = DatasetConfig(**{
+        "nx_values": tuple(int(nx) for nx in np.unique(dataset.nx)),
+        "pairs_per_grid": 4096,
+        "seed": configs[0].seed + 1000003,
+        **_section(config.get("val", {}), DATASET_KEYS, "val"),
+    })
     val_dataset = build_dataset(val_cfg)
 
     models = train.run_sweep(dataset, configs, val_dataset, jobs=args.jobs)
@@ -205,15 +208,8 @@ def cmd_train(args) -> dict:
     for i, model in enumerate(models):
         model_id = f"model_{i:03d}"
         save_params(model.params, out / f"{model_id}.json")
-        log_path = out / f"train_log_{model_id}.csv"
-        with open(log_path, "w") as f:
-            f.write(train.TRAIN_LOG_HEADER + "\n")
-            np.savetxt(
-                f,
-                model.log,
-                fmt=["%d"] + ["%.17g"] * 5,
-                delimiter=",",
-            )
+        np.savetxt(out / f"train_log_{model_id}.csv", model.log, fmt=["%d"] + ["%.17g"] * 5,
+                   delimiter=",", header=train.TRAIN_LOG_HEADER, comments="")
         rows.append(
             {
                 "model_id": model_id,
@@ -224,7 +220,7 @@ def cmd_train(args) -> dict:
                 "order_h": model.orders["sine_step"],
                 "recon_loss": model.recon_loss,
                 "dev_loss": model.dev_loss,
-                "criterion": declared[i],
+                "criterion": criteria[i],
             }
         )
     analysis.emit_report(
@@ -240,14 +236,6 @@ def cmd_train(args) -> dict:
         "val": dataclasses.asdict(val_cfg),
         "configs": [dataclasses.asdict(c) for c in configs],
     }
-
-
-def _choice(name: str, valid, what: str) -> str:
-    """``name`` if it is one of ``valid``, else a ValueError listing them."""
-    if name not in valid:
-        choices = ", ".join(sorted(valid))
-        raise ValueError(f"unknown {what} {name!r}; choose one of: {choices}")
-    return name
 
 
 def cmd_select(args) -> None:
@@ -297,13 +285,12 @@ def cmd_solve(args) -> dict:
 
 def cmd_converge(args) -> dict:
     schemes = [make_scheme(name) for name in args.schemes.split(",")]
-    nx_list = [int(v) for v in args.nx_list.split(",")]
     _choice(args.problem, [*PROBLEMS, *RECON_TARGETS], "problem")
     if args.problem in RECON_TARGETS:
         target = eval_function(RECON_TARGETS[args.problem])
     else:
         target = _resolve_problem(args)
-    rows = analysis.convergence_study(schemes, target, nx_list)
+    rows = analysis.convergence_study(schemes, target, args.nx_list)
     out = _out_dir(args)
     analysis.emit_report(
         rows,
@@ -313,7 +300,7 @@ def cmd_converge(args) -> dict:
     for scheme in schemes:
         slope = next(r.slope for r in rows if r.scheme == scheme.name)
         print(f"{scheme.name}: slope {slope:.3f}")
-    return {"problem": args.problem, "schemes": args.schemes, "nx_list": nx_list}
+    return {"problem": args.problem, "schemes": args.schemes, "nx_list": args.nx_list}
 
 
 def cmd_adr(args) -> dict:
@@ -360,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate the exact training dataset")
     _add_common(p, config=True)
-    p.add_argument("--nx-values", help="comma-separated grid sizes")
+    p.add_argument("--nx-values", type=_int_list, help="comma-separated grid sizes")
     p.add_argument("--pairs-per-grid", type=int, default=None)
     p.set_defaults(func=cmd_gen_data)
 
@@ -368,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, config=True)
     p.add_argument("--jobs", type=int, default=1, help="models trained at once (processes)")
     p.add_argument("--dataset", required=True, help="dataset CSV from gen-data")
-    p.add_argument("--steps", type=int, default=None, help="Adam steps per model")
+    p.add_argument("--steps", dest="total_steps", type=int, help="Adam steps per model")
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--warmup-steps", type=int, default=None)
     p.set_defaults(func=cmd_train)
@@ -391,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--problem", required=True)
     p.add_argument("--schemes", required=True, help="comma-separated scheme names")
-    p.add_argument("--nx-list", required=True, help="comma-separated grid sizes")
+    p.add_argument("--nx-list", required=True, type=_int_list,
+                   help="comma-separated grid sizes")
     p.add_argument("--T", type=float, default=5.0)
     p.add_argument("--cfl", type=float, default=0.4)
     p.set_defaults(func=cmd_converge)

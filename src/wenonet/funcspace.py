@@ -159,7 +159,7 @@ class DatasetConfig:
     pairs_per_grid: int = DEFAULT_PAIRS_PER_GRID
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not self.nx_values:
             raise ValueError("nx_values must be nonempty")
         if self.pairs_per_grid < 1:
@@ -290,7 +290,6 @@ def build_dataset(cfg: DatasetConfig) -> Dataset:
     their stencil.  The result is bit-reproducible from ``cfg.seed``; each
     function instance owns Philox stream ``(seed, instance_index)``.
     """
-    cfg.validate()
     stencils, targets, grids = [], [], []
     stream = 0
     for nx in cfg.nx_values:

@@ -81,10 +81,11 @@ class Problem:
     cfl: float = DEFAULT_CFL
 
     def __post_init__(self):
-        if self.kind not in ("advection", "burgers"):
+        inits = {"advection": ("cosine", "sigmoid"), "burgers": ("riemann",)}
+        if self.kind not in inits:
             raise ValueError(f"unknown equation kind {self.kind!r}")
-        if self.init not in ("cosine", "sigmoid", "riemann"):
-            raise ValueError(f"unknown initial condition {self.init!r}")
+        if self.init not in inits[self.kind]:
+            raise ValueError(f"{self.kind} takes initial conditions {inits[self.kind]}")
         if self.init == "riemann" and self.riemann is None:
             raise ValueError("riemann initial condition needs (u_l, u_r)")
         if not 0.0 < self.cfl <= 1.0:
@@ -117,33 +118,28 @@ def _softplus(z):
 
 
 def _init_value(problem: Problem, x):
+    """Advection initial condition (cosine or sigmoid) at ``x``."""
     x = np.asarray(x, dtype=float)
     if problem.init == "cosine":
         return np.cos(2.0 * np.pi * x)
-    if problem.init == "sigmoid":
-        k = SIGMOID_K
-        return 1.0 / (1.0 + np.exp(-k * (x - SIGMOID_X1))) + 1.0 / (
-            1.0 + np.exp(k * (x - SIGMOID_X2))
-        )
-    u_l, u_r = problem.riemann
-    return np.where(x < 0.0, u_l, u_r)
+    k = SIGMOID_K
+    return 1.0 / (1.0 + np.exp(-k * (x - SIGMOID_X1))) + 1.0 / (
+        1.0 + np.exp(k * (x - SIGMOID_X2))
+    )
 
 
 def _init_antiderivative(problem: Problem, x):
+    """Antiderivative of the advection initial condition (cosine or sigmoid)."""
     x = np.asarray(x, dtype=float)
     if problem.init == "cosine":
         return np.sin(2.0 * np.pi * x) / (2.0 * np.pi)
-    if problem.init == "sigmoid":
-        k = SIGMOID_K
-        return (_softplus(k * (x - SIGMOID_X1)) - _softplus(-k * (x - SIGMOID_X2))) / k
-    u_l, u_r = problem.riemann
-    return u_l * np.minimum(x, 0.0) + u_r * np.maximum(x, 0.0)
+    k = SIGMOID_K
+    return (_softplus(k * (x - SIGMOID_X1)) - _softplus(-k * (x - SIGMOID_X2))) / k
 
 
 def initial_averages(problem: Problem, grid: GridSpec) -> np.ndarray:
     """Exact cell averages of the initial condition."""
-    anti = _init_antiderivative(problem, grid.edges)
-    return np.diff(anti) / grid.dx
+    return exact_cell_averages(problem, grid, 0.0)
 
 
 def _extend(state: np.ndarray, grid: GridSpec, halo: int) -> np.ndarray:

@@ -70,6 +70,11 @@ SELECTION_CRITERIA = (
 
 TRAIN_LOG_HEADER = "step,lr,loss,loss_r,loss_d,loss_l2"
 
+#: Adam's moment decay rates and denominator guard.
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
+
 _IDEAL = np.asarray(IDEAL_WEIGHTS3)
 
 
@@ -200,24 +205,16 @@ class AdamState:
         return cls(np.zeros(n), np.zeros(n), 0)
 
 
-def adam_step(
-    theta: np.ndarray,
-    grad: np.ndarray,
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-):
+def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, lr: float):
     """One bias-corrected Adam update; returns (new theta, new state)."""
     if theta.shape != grad.shape or theta.shape != state.m.shape:
         raise ValueError("parameter, gradient, and state shapes must match")
     t = state.t + 1
-    m = beta1 * state.m + (1.0 - beta1) * grad
-    v = beta2 * state.v + (1.0 - beta2) * grad**2
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    return theta - lr * m_hat / (np.sqrt(v_hat) + eps), AdamState(m, v, t)
+    m = _ADAM_BETA1 * state.m + (1.0 - _ADAM_BETA1) * grad
+    v = _ADAM_BETA2 * state.v + (1.0 - _ADAM_BETA2) * grad**2
+    m_hat = m / (1.0 - _ADAM_BETA1**t)
+    v_hat = v / (1.0 - _ADAM_BETA2**t)
+    return theta - lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS), AdamState(m, v, t)
 
 
 def train_model(

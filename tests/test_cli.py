@@ -65,10 +65,19 @@ def test_config_value_of_wrong_type_exit_2(tmp_path, capsys):
     assert run_cli("train", "--dataset", str(tmp_path / "d" / "dataset.csv"),
                    "--config", str(cfg), "--out", str(tmp_path / "m")) == 2
     assert "wrong type" in capsys.readouterr().err
-    # a section of the wrong JSON type is named in the message
+    # a section of the wrong JSON type, a bad value or an unknown key inside a
+    # section is named in the message; one small model keeps a missed fault cheap
+    one = {"sweep": {"alphas": [0.1], "beta_ds": [0.1], "peak_lrs": [1e-3]}}
     for doc, field in (({"configs": [1]}, "'configs[0]'"), ({"configs": {"a": 1}}, "'configs'"),
-                       ({"sweep": [1]}, "'sweep'"), ({"val": 5}, "'val'")):
-        cfg.write_text(json.dumps(doc))
+                       ({"sweep": [1]}, "'sweep'"), ({"val": 5}, "'val'"),
+                       ({"configs": [{"criterion": "fastest"}]}, "'configs[0].criterion'"),
+                       ({"configs": [{"criterion": 3}]}, "'configs[0].criterion'"),
+                       ({"sweep": {"alphas": 3}}, "'sweep.alphas'"),
+                       ({**one, "val": {"nx_values": 3}}, "'val.nx_values'"),
+                       ({"configs": [{"alpah": 5}]}, "'configs[0].alpah'"),
+                       ({"sweep": {**one["sweep"], "alpah": [5]}}, "'sweep.alpah'"),
+                       ({**one, "val": {"alpah": 5}}, "'val.alpah'")):
+        cfg.write_text(json.dumps({"total_steps": 1, **doc}))
         assert run_cli("train", "--dataset", str(tmp_path / "d" / "dataset.csv"),
                        "--config", str(cfg), "--out", str(tmp_path / "m")) == 2, doc
         assert f"config field {field}" in capsys.readouterr().err
@@ -176,6 +185,61 @@ def test_train_manifest_records_resolved_settings(tmp_path):
     assert resolved["peak_lr"] == 2e-3 and resolved["seed"] == 4
     assert resolved["total_steps"] == 5 and resolved["batch_size"] == 32
     assert manifest["val"] == {"nx_values": [16], "pairs_per_grid": 32, "seed": 4 + 1000003}
+
+
+def test_every_config_key_reaches_the_run(tmp_path):
+    """Each key of the four key tables, set to a non-default value, shows in the outputs."""
+    dataset = {"nx_values": [16, 32], "pairs_per_grid": 64, "seed": 3}
+    run = {"total_steps": 4, "batch_size": 16, "warmup_steps": 2, "seed": 6}
+    model = {**run, "seed": 8, "peak_lr": 3e-3, "alpha": 0.2, "beta_d": 0.4,
+             "beta_w": 2e-6, "criterion": "least-dev-loss"}
+    sweep = {"alphas": [0.05], "beta_ds": [0.2], "peak_lrs": [2e-3]}
+    val = {"nx_values": [32], "pairs_per_grid": 32, "seed": 5}
+    assert (set(dataset), set(run), set(model), set(sweep)) == (
+        set(cli.DATASET_KEYS), set(cli.RUN_KEYS), set(cli.MODEL_KEYS), set(cli.SWEEP_KEYS))
+
+    def manifest(out, command):
+        return json.loads((out / f"{command}-manifest.txt").read_text().split("\n", 1)[1])
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dataset))
+    assert run_cli("gen-data", "--config", str(cfg), "--out", str(tmp_path / "d")) == 0
+    assert dataset.items() <= manifest(tmp_path / "d", "gen-data").items()
+
+    data = str(tmp_path / "d" / "dataset.csv")
+    for name, doc in (("models", {"configs": [model], "val": val}),
+                      ("sweep", {**run, "sweep": sweep, "val": val})):
+        cfg.write_text(json.dumps(doc))
+        assert run_cli("train", "--dataset", data, "--config", str(cfg),
+                       "--out", str(tmp_path / name)) == 0, name
+        resolved = manifest(tmp_path / name, "train")
+        assert resolved["val"] == val
+        (config,) = resolved["configs"]
+        flat = {**config, **config.pop("hyper")}
+        # a sweep list holds the values of the model key without the final "s"
+        swept = {k[:-1]: v[0] for k, v in sweep.items()}
+        wanted = dict(model) if name == "models" else {**run, **swept}
+        wanted.pop("criterion", None)
+        assert {k: flat[k] for k in wanted} == wanted
+    rows, _ = an.parse_report(tmp_path / "models" / "models.csv")
+    assert rows[0]["criterion"] == model["criterion"]
+
+
+def test_train_sweep_casts_top_level_counts(tmp_path):
+    data = tmp_path / "data"
+    run_cli("gen-data", "--out", str(data), "--nx-values", "16", "--pairs-per-grid", "64")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "total_steps": 2.5, "batch_size": 16.0,
+        "sweep": {"alphas": [0.1], "beta_ds": [0.1], "peak_lrs": [1e-3]},
+        "val": {"nx_values": [16], "pairs_per_grid": 32},
+    }))
+    out = tmp_path / "models"
+    assert run_cli("train", "--dataset", str(data / "dataset.csv"), "--config", str(cfg),
+                   "--out", str(out)) == 0
+    manifest = json.loads((out / "train-manifest.txt").read_text().split("\n", 1)[1])
+    (resolved,) = manifest["configs"]
+    assert (resolved["total_steps"], resolved["batch_size"]) == (2, 16)
 
 
 def test_solve_matches_library_call(tmp_path):

@@ -18,6 +18,11 @@ def test_grid_and_problem_validation():
         sv.GridSpec(64, bc="dirichlet")
     with pytest.raises(ValueError):
         sv.Problem("advection", "riemann")
+    # each equation takes only the initial conditions its exact solution covers
+    with pytest.raises(ValueError, match="advection takes"):
+        sv.Problem("advection", "riemann", (1.0, 0.0))
+    with pytest.raises(ValueError, match="burgers takes"):
+        sv.Problem("burgers", "cosine")
     with pytest.raises(ValueError):
         sv.Problem("heat", "cosine")
     with pytest.raises(ValueError):
