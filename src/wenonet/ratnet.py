@@ -164,20 +164,33 @@ class NetParams:
         return NetParams, (self.theta, self.arch, self.c_eno)
 
 
+def _horner(c, x):
+    """sum(c[k] * x**k) by Horner's rule in one fresh buffer; c ascends along axis 0."""
+    y = c[-1] * x
+    for ck in c[-2:0:-1]:
+        y += ck
+        y *= x
+    y += c[0]
+    return y
+
+
 def _rational_terms(p, q, x):
     """Numerator, raw denominator, and guarded denominator at x (Horner).
 
-    Coefficients ascend along axis 0 and each broadcasts against ``x``.
+    Coefficients ascend along axis 0 and each broadcasts against ``x``.  The
+    three results are fresh buffers that the caller may overwrite.
     """
-    num = ((p[3] * x + p[2]) * x + p[1]) * x + p[0]
-    den_raw = (q[2] * x + q[1]) * x + q[0]
-    return num, den_raw, np.abs(den_raw) + DENOM_GUARD
+    den_raw = _horner(q, x)
+    den = np.abs(den_raw)
+    den += DENOM_GUARD
+    return _horner(p, x), den_raw, den
 
 
 def rational_eval(c: RationalCoeffs, x):
     """p(x) / (|q(x)| + guard); total for every finite input."""
     num, _, den = _rational_terms(c.p, c.q, x)
-    return num / den
+    num /= den
+    return num
 
 
 def _deltas(stencils):
@@ -191,15 +204,10 @@ def _deltas(stencils):
     return np.abs([u0 - um1, up1 - u0, up1 - um1, up1 - 2.0 * u0 + um1])
 
 
-def _feature_coeffs(feat: list[RationalCoeffs], ndim: int):
-    """The feature rationals' p (4, 4) and q (3, 4), one column per feature.
-
-    Trailing unit axes let coefficient ``k`` broadcast against (4, ...) deltas
-    of ``ndim`` axes.
-    """
-    shape = (-1, FEATURE_COUNT) + (1,) * (ndim - 1)
-    p = np.array([c.p for c in feat]).T.reshape(shape)
-    q = np.array([c.q for c in feat]).T.reshape(shape)
+def _feature_coeffs(feat: list[RationalCoeffs]):
+    """The feature rationals' p (4, 4, 1) and q (3, 4, 1), to broadcast on (4, n) deltas."""
+    p = np.array([c.p for c in feat]).T[..., None]
+    q = np.array([c.q for c in feat]).T[..., None]
     return p, q
 
 
@@ -207,17 +215,20 @@ def _features(deltas, feat: list[RationalCoeffs]):
     """Unit-normalized feature rationals of (4, ...) ``deltas``.
 
     Returns the features with the feature axis last (a view of the (4, ...)
-    result), the zero-row mask and the divisor.  The squares are summed in
-    ``np.linalg.norm``'s order for a row of four, so its bits are kept.
+    result), and the zero-row mask and divisor of the stencils taken as rows
+    (so the norm is an array even for one stencil).  The squares are summed
+    in ``np.linalg.norm``'s order for a row of four, so its bits are kept.
     """
-    num, _, den = _rational_terms(*_feature_coeffs(feat, deltas.ndim), deltas)
-    alpha = num / den
+    x = deltas.reshape(FEATURE_COUNT, -1)
+    alpha, _, den = _rational_terms(*_feature_coeffs(feat), x)
+    alpha /= den
     sq = alpha * alpha
-    norm = np.sqrt(((sq[0] + sq[1]) + sq[2]) + sq[3])
-    small = norm < 1e-14
-    safe = np.where(small, 1.0, norm)
-    a = np.where(small, 0.0, alpha / safe)
-    return np.moveaxis(a, 0, -1), small, safe
+    safe = np.sqrt(((sq[0] + sq[1]) + sq[2]) + sq[3])
+    small = safe < 1e-14
+    np.copyto(safe, 1.0, where=small)
+    alpha /= safe
+    np.copyto(alpha, 0.0, where=small)
+    return np.moveaxis(alpha.reshape(deltas.shape), 0, -1), small, safe
 
 
 def rational_features(stencils, feat: list[RationalCoeffs]):
@@ -230,13 +241,17 @@ def rational_features(stencils, feat: list[RationalCoeffs]):
 
 
 def _softmax(z):
-    """Two-way softmax over the last axis, one column at a time."""
+    """Two-way softmax over the last axis, one column at a time, into one result."""
     z0, z1 = z[..., 0], z[..., 1]
     m = np.maximum(z0, z1)
-    e0 = np.exp(z0 - m)
-    e1 = np.exp(z1 - m)
+    w = np.empty(z.shape)
+    e0, e1 = w[..., 0], w[..., 1]
+    np.exp(np.subtract(z0, m, out=e0), out=e0)
+    np.exp(np.subtract(z1, m, out=e1), out=e1)
     s = e0 + e1
-    return np.stack([e0 / s, e1 / s], axis=-1)
+    e0 /= s
+    e1 /= s
+    return w
 
 
 def forward(params: NetParams, stencils, tape: list | None = None):
@@ -251,11 +266,14 @@ def forward(params: NetParams, stencils, tape: list | None = None):
     if tape is not None:
         tape += [deltas, (a, small, safe)]
     for layer in params.layers:
-        z = a @ layer.W.T + layer.b
+        z = a @ layer.W.T
+        z += layer.b
         if tape is not None:
             tape.append((a, z))
         a = rational_eval(layer.act, z)
-    w = _softmax(a @ params.head_W.T + params.head_b)
+    z = a @ params.head_W.T
+    z += params.head_b
+    w = _softmax(z)
     if tape is not None:
         tape.append((a, w))
     return w
@@ -318,12 +336,23 @@ def backward(params: NetParams, tape: list, d_weights) -> np.ndarray:
     d_alpha = np.where(small, 0.0, d_unit.T / safe)
     # the four feature rationals in one call on the (4, n) deltas
     deltas = tape.pop()
-    p, q = _feature_coeffs(params.feat, deltas.ndim)
+    p, q = _feature_coeffs(params.feat)
     _, dp, dq = _rational_backward(p, q, deltas, d_alpha)
     for j in range(FEATURE_COUNT):
         put(("feat", j, "p"), dp[:, j])
         put(("feat", j, "q"), dq[:, j])
     return grad
+
+
+def _eno_w0(w0, w1, c_eno: float):
+    """``eno_filter``'s rule on the weight columns: the filtered w0, a new array."""
+    lo, hi = w0 < c_eno, w1 < c_eno
+    if np.any(lo & hi):
+        raise ValueError(f"eno_filter received a row with no weight >= {c_eno}")
+    hi |= 1.0 - w0 < c_eno
+    w0 = np.where(hi, 1.0, w0)
+    np.copyto(w0, 0.0, where=lo)
+    return w0
 
 
 def eno_filter(weights, c_eno: float = C_ENO_DEFAULT):
@@ -339,21 +368,37 @@ def eno_filter(weights, c_eno: float = C_ENO_DEFAULT):
     w = np.asarray(weights, dtype=float)
     if w.shape[-1:] != (2,):
         raise ValueError(f"eno_filter needs weight pairs, got shape {w.shape}")
-    w0, w1 = w[..., 0], w[..., 1]
-    if np.any((w0 < c_eno) & (w1 < c_eno)):
-        raise ValueError(f"eno_filter received a row with no weight >= {c_eno}")
-    w0 = np.where(
-        w0 < c_eno, 0.0, np.where((w1 < c_eno) | (1.0 - w0 < c_eno), 1.0, w0)
-    )
+    w0 = _eno_w0(w[..., 0], w[..., 1], c_eno)
     return np.stack([w0, 1.0 - w0], axis=-1)
 
 
 def nn_reconstruct(params: NetParams, stencils):
-    """Inference-time face value: thresholded network weights on the interpolants."""
+    """Inference-time face value: thresholded network weights on the interpolants.
+
+    The network sees only the deltas, so all flat stencils (four zero deltas)
+    share one output, and one ``forward`` call covers the others plus one flat
+    stencil.  A one-row matmul rounds differently, so that batch has two rows
+    or more, and an input of one-row matmuls (shape (3,) or (..., 1, 3)) is
+    not split: the bits are those of ``forward`` on the whole input.
+    """
     s = np.asarray(stencils, dtype=float)
-    w = eno_filter(forward(params, s), params.c_eno)
-    i0, i1 = interpolants3(s[..., 0], s[..., 1], s[..., 2])
-    return w[..., 0] * i0 + w[..., 1] * i1
+    um1, u0, up1 = s[..., 0], s[..., 1], s[..., 2]
+    flat = (um1 == u0) & (u0 == up1)
+    if s.ndim < 2 or s.shape[-2] < 2 or not flat.any():
+        w = forward(params, s)
+        w0 = _eno_w0(w[..., 0], w[..., 1], params.c_eno)
+    else:
+        # 2 * u0 overflows from 2**1023 on; with no flat row left, argmax
+        # picks a live row, whose fill is then overwritten
+        flat = (flat & (np.abs(u0) < 2.0**1023)).ravel()
+        live = np.flatnonzero(~flat)
+        rows = np.append(live, [np.argmax(flat)] * max(1, 2 - live.size))
+        w = forward(params, s.reshape(-1, 3)[rows])
+        w0_rows = _eno_w0(w[:, 0], w[:, 1], params.c_eno)
+        w0 = np.full(s.shape[:-1], w0_rows[-1])
+        w0.flat[live] = w0_rows[: live.size]
+    i0, i1 = interpolants3(um1, u0, up1)
+    return w0 * i0 + (1.0 - w0) * i1
 
 
 class NNScheme:

@@ -6,6 +6,7 @@ respect to them is handed to ``ratnet.backward``, which owns every layer.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -87,9 +88,10 @@ class LossHyper:
     beta_w: float = 1e-6
     eps_gamma: float = 1e-15
 
-    def __post_init__(self):
-        if min(self.alpha, self.beta_d, self.beta_w) < 0 or self.eps_gamma <= 0:
-            raise ValueError("loss hyperparameters must be non-negative, eps_gamma > 0")
+    def __post_init__(self):  # NaN fails every comparison, so it is rejected too
+        weights_ok = all(0.0 <= w < math.inf for w in (self.alpha, self.beta_d, self.beta_w))
+        if not (weights_ok and 0.0 < self.eps_gamma < math.inf):
+            raise ValueError("loss hyperparameters must be finite and non-negative, eps_gamma > 0")
 
 
 @dataclass(frozen=True)
@@ -106,6 +108,8 @@ class TrainConfig:
     def __post_init__(self):  # zero steps is allowed and returns the initialization
         if min(self.total_steps, self.warmup_steps) < 0 or self.batch_size < 1:
             raise ValueError("step counts must be non-negative and batch_size >= 1")
+        if not 0.0 <= self.peak_lr < math.inf:  # NaN fails the comparison too
+            raise ValueError(f"peak_lr must be finite and non-negative, got {self.peak_lr}")
 
 
 @dataclass

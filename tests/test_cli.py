@@ -152,6 +152,23 @@ def test_train_jobs_below_one_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_train_config_with_bad_rate_or_loss_weight_exit_2(tmp_path, capsys):
+    data = tmp_path / "data"
+    run_cli("gen-data", "--out", str(data), "--nx-values", "16", "--pairs-per-grid", "64")
+    cfg = tmp_path / "bad.json"
+    for doc, field in (({"configs": [{"peak_lr": -0.01}]}, "peak_lr"),
+                       ({"configs": [{"alpha": float("nan")}]}, "finite"),
+                       ({"configs": [{"beta_d": float("inf")}]}, "finite"),
+                       ({"sweep": {"alphas": [0.1], "beta_ds": [0.1], "peak_lrs": [float("nan")]}},
+                        "peak_lr")):
+        cfg.write_text(json.dumps({"total_steps": 20, **doc}))  # json writes NaN and Infinity
+        code = run_cli("train", "--dataset", str(data / "dataset.csv"),
+                       "--config", str(cfg), "--out", str(tmp_path / "m"))
+        assert code == 2, doc
+        assert field in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
 def test_train_config_with_no_models_exit_2(tmp_path, capsys):
     data = tmp_path / "data"
     run_cli("gen-data", "--out", str(data), "--nx-values", "16", "--pairs-per-grid", "64")

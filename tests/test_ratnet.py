@@ -5,8 +5,11 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wenonet import ratnet as rn
+from wenonet.reconstruct import interpolants3
 
 rng = np.random.default_rng(99)
 
@@ -260,6 +263,96 @@ def test_nn_reconstruct_shift_equivariance():
     base = rn.nn_reconstruct(params, s)
     shifted = rn.nn_reconstruct(params, s + 2.0)
     assert np.allclose(shifted, base + 2.0, rtol=0, atol=1e-12)
+
+
+def whole_batch_reference(params, stencils):
+    """``nn_reconstruct`` as one formula on the whole batch: forward, filter, combine."""
+    s = np.asarray(stencils, dtype=float)
+    w = rn.eno_filter(rn.forward(params, s), params.c_eno)
+    i0, i1 = interpolants3(s[..., 0], s[..., 1], s[..., 2])
+    return w[..., 0] * i0 + w[..., 1] * i1
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def test_flat_stencils_share_one_forward_call_with_the_same_bits(monkeypatch):
+    calls = []
+    forward = rn.forward
+
+    def counting_forward(params, stencils, tape=None):
+        calls.append(np.shape(stencils))
+        return forward(params, stencils, tape)
+
+    monkeypatch.setattr(rn, "forward", counting_forward)
+    g = np.random.default_rng(12)
+    live = g.normal(size=(8, 3)) * 10.0 ** g.integers(-6, 6, size=(8, 1))
+    # four zero deltas at every magnitude, signed zeros and denormals; the last
+    # two rows overflow 2 * u0, so their second difference is inf, not 0
+    flats = np.array([[0.0] * 3, [-0.0, 0.0, -0.0], [3.3] * 3, [-1e-300] * 3, [5e-324] * 3,
+                      [1e300] * 3, [np.nextafter(2.0**1023, 0)] * 3, [2.0**1023] * 3,
+                      [-1.7e308] * 3])
+    odd = np.array([[np.nan, 0.0, 1.0], [0.0, np.inf, 0.0], [np.inf] * 3, [np.nan] * 3,
+                    [1.0, 1.0, np.inf]])
+    cases = {
+        "no live row": flats[:5],
+        "one live row": np.concatenate([flats[:3], live[:1], flats[3:6]]),
+        "two live rows": np.concatenate([live[:1], flats, live[1:2]]),
+        "all rows live": live,
+        "flat first and last": np.concatenate([flats[2:3], live, flats[4:5]]),
+        "nan and inf rows": np.concatenate([flats[:2], odd, live[:3], flats[5:]]),
+        "two flat rows": flats[2:4],
+        "one flat and one live row": np.concatenate([flats[:1], live[:1]]),
+    }
+    with np.errstate(all="ignore"):
+        for seed in range(4):
+            params = random_params(seed, noise=0.3)
+            for name, s in cases.items():
+                for x in (s, np.ascontiguousarray(s.T).T):  # both column layouts
+                    calls.clear()
+                    got = rn.nn_reconstruct(params, x)
+                    n_live = int(np.sum(~((x[:, 0] == x[:, 1]) & (x[:, 1] == x[:, 2])
+                                         & (np.abs(x[:, 1]) < 2.0**1023))))
+                    rows = len(x) if n_live == len(x) else n_live + max(1, 2 - n_live)
+                    assert calls == [(rows, 3)], name
+                    assert same_bits(got, whole_batch_reference(params, x)), name
+            got = rn.nn_reconstruct(params, cases["nan and inf rows"])
+            assert np.all(np.isnan(got[2:7]))  # non-finite stencils stay NaN
+            # n-D input, and inputs of one-row matmuls, which are not split
+            s = np.concatenate([flats, live, odd[:4], flats[:3]])
+            for x in (s.reshape(4, 6, 3), s[5:17, None, :], s[0], s[:1]):
+                assert same_bits(rn.nn_reconstruct(params, x), whole_batch_reference(params, x))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6),
+    shift=st.floats(-100.0, 100.0),
+)
+def test_flat_rows_change_no_other_row(seed, values, shift):
+    g = np.random.default_rng(seed)
+    params = random_params(int(g.integers(0, 4)), noise=0.3)
+    n = int(g.integers(2, 12))  # a one-row batch rounds differently, with or without flat rows
+    s = g.normal(size=(n, 3)) * 10.0 ** g.integers(-8, 8, size=(n, 1))
+    s[g.random(n) < 0.3] = g.normal()  # flat rows may already be there
+    at = np.sort(g.integers(0, n + 1, size=len(values))) + np.arange(len(values))
+    mixed = np.insert(s, at - np.arange(len(values)), np.array(values)[:, None], axis=0)
+    assert np.array_equal(mixed[at], np.repeat(np.array(values)[:, None], 3, axis=1))
+    with np.errstate(all="ignore"):
+        got = rn.nn_reconstruct(params, mixed)
+        others = np.delete(got, at)
+        assert same_bits(others, rn.nn_reconstruct(params, s))
+        assert same_bits(got, whole_batch_reference(params, mixed))
+    # a flat row's face value moves with a constant added to the stencil
+    small = np.clip(values, -100.0, 100.0)[:, None]
+    flat = np.repeat(small, 3, axis=1)
+    base = rn.nn_reconstruct(params, np.concatenate([s, flat]))[n:]
+    moved = rn.nn_reconstruct(params, np.concatenate([s, flat + shift]))[n:]
+    assert np.allclose(moved, base + shift, rtol=0, atol=1e-12)
+    assert np.allclose(base, small[:, 0], rtol=0, atol=1e-12)
 
 
 def test_relu_fit_quality():

@@ -331,3 +331,24 @@ def test_train_config_rejects_invalid_counts():
         with pytest.raises(ValueError):
             tr.TrainConfig(**bad)
     assert tr.TrainConfig(total_steps=0, warmup_steps=0).total_steps == 0
+
+
+def test_train_config_rejects_negative_or_non_finite_peak_lr():
+    for lr in (-0.01, -1e-300, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="peak_lr"):
+            tr.TrainConfig(peak_lr=lr)
+    assert tr.TrainConfig(peak_lr=0.0).peak_lr == 0.0
+
+
+def test_loss_hyper_rejects_non_finite_weights():
+    for name in ("alpha", "beta_d", "beta_w", "eps_gamma"):
+        for bad in (float("nan"), float("inf"), -float("inf"), -1.0):
+            with pytest.raises(ValueError, match="finite"):
+                tr.LossHyper(**{name: bad})
+        # NaN is rejected also where min() would have hidden it behind a smaller value
+        with pytest.raises(ValueError):
+            tr.LossHyper(**{"alpha": 0.0, "beta_d": 0.0, "beta_w": 0.0, name: float("nan")})
+    with pytest.raises(ValueError):
+        tr.LossHyper(eps_gamma=0.0)
+    zero = tr.LossHyper(alpha=0.0, beta_d=0.0, beta_w=0.0)  # zero weights stay legal
+    assert (zero.alpha, zero.beta_d, zero.beta_w) == (0.0, 0.0, 0.0)
