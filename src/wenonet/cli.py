@@ -73,6 +73,13 @@ def _int_list(text: str) -> list[int]:
     return [int(v) for v in text.split(",")]
 
 
+def _integer(value) -> int:
+    """A config count: an int or an integral float; fractions and booleans raise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _list_of(cast):
     """Cast of a JSON list whose items each go through ``cast``."""
 
@@ -87,8 +94,8 @@ def _list_of(cast):
 _LOSS_KEYS = ("alpha", "beta_d", "beta_w")
 
 #: Each config section's keys and their casts; a flag whose dest is a key overrides it.
-DATASET_KEYS = {"nx_values": _list_of(int), "pairs_per_grid": int, "seed": int}
-RUN_KEYS = {"total_steps": int, "batch_size": int, "warmup_steps": int, "seed": int}
+DATASET_KEYS = {"nx_values": _list_of(_integer), "pairs_per_grid": _integer, "seed": _integer}
+RUN_KEYS = dict.fromkeys(("total_steps", "batch_size", "warmup_steps", "seed"), _integer)
 MODEL_KEYS = {
     **RUN_KEYS,
     "peak_lr": float,

@@ -193,14 +193,21 @@ def rational_eval(c: RationalCoeffs, x):
     return num
 
 
-def _deltas(stencils):
-    """Absolute finite differences of the stencil, stacked first: shape (4, ...).
+def _rows(stencils):
+    """A (..., 3) stencil array as float (n, 3) rows, and its leading shape."""
+    s = np.asarray(stencils, dtype=float)
+    if s.shape[-1:] != (3,):
+        raise ValueError(f"stencils need a last axis of length 3, got shape {s.shape}")
+    return s.reshape(-1, 3), s.shape[:-1]
+
+
+def _deltas(rows):
+    """Absolute finite differences of (n, 3) stencil rows, stacked first: (4, n).
 
     The four rows are |u0-um1|, |up1-u0|, |up1-um1| and the absolute second
     difference; all are invariant to adding a constant to the stencil.
     """
-    s = np.asarray(stencils, dtype=float)
-    um1, u0, up1 = s[..., 0], s[..., 1], s[..., 2]
+    um1, u0, up1 = rows.T
     return np.abs([u0 - um1, up1 - u0, up1 - um1, up1 - 2.0 * u0 + um1])
 
 
@@ -212,15 +219,13 @@ def _feature_coeffs(feat: list[RationalCoeffs]):
 
 
 def _features(deltas, feat: list[RationalCoeffs]):
-    """Unit-normalized feature rationals of (4, ...) ``deltas``.
+    """Unit-normalized feature rationals of (4, n) ``deltas``.
 
-    Returns the features with the feature axis last (a view of the (4, ...)
-    result), and the zero-row mask and divisor of the stencils taken as rows
-    (so the norm is an array even for one stencil).  The squares are summed
-    in ``np.linalg.norm``'s order for a row of four, so its bits are kept.
+    Returns the (n, 4) features (a view of the (4, n) result), and the
+    zero-row mask and divisor.  The squares are summed in
+    ``np.linalg.norm``'s order for a row of four, so its bits are kept.
     """
-    x = deltas.reshape(FEATURE_COUNT, -1)
-    alpha, _, den = _rational_terms(*_feature_coeffs(feat), x)
+    alpha, _, den = _rational_terms(*_feature_coeffs(feat), deltas)
     alpha /= den
     sq = alpha * alpha
     safe = np.sqrt(((sq[0] + sq[1]) + sq[2]) + sq[3])
@@ -228,16 +233,17 @@ def _features(deltas, feat: list[RationalCoeffs]):
     np.copyto(safe, 1.0, where=small)
     alpha /= safe
     np.copyto(alpha, 0.0, where=small)
-    return np.moveaxis(alpha.reshape(deltas.shape), 0, -1), small, safe
+    return alpha.T, small, safe
 
 
 def rational_features(stencils, feat: list[RationalCoeffs]):
-    """Per-feature rationals applied to the deltas, then unit-normalized.
+    """Per-feature rationals applied to the deltas, then unit-normalized: (..., 4).
 
     Rows whose pre-normalization Euclidean norm is below 1e-14 map to the
     zero vector.
     """
-    return _features(_deltas(stencils), feat)[0]
+    rows, lead = _rows(stencils)
+    return _features(_deltas(rows), feat)[0].reshape(*lead, FEATURE_COUNT)
 
 
 def _softmax(z):
@@ -257,11 +263,15 @@ def _softmax(z):
 def forward(params: NetParams, stencils, tape: list | None = None):
     """Pre-threshold stencil weights, shape (..., 2); rows sum to one.
 
-    Given a list as ``tape``, each stage also appends what ``backward`` needs:
-    the (4, n) deltas, the normalization's output, mask and divisor, each
-    dense layer's input and pre-activation, and the head's input and output.
+    ``stencils`` is any (..., 3) array, else ValueError; a stencil's bits do
+    not depend on that shape (one row runs twice: a one-row matmul rounds
+    differently).  Given a list as ``tape``, each stage also appends what
+    ``backward`` needs: the (4, n) deltas, the normalization's output, mask
+    and divisor, each dense layer's input and pre-activation, and the head's
+    input and output.
     """
-    deltas = _deltas(stencils)
+    rows, lead = _rows(stencils)
+    deltas = _deltas(np.repeat(rows, 2, axis=0) if len(rows) == 1 else rows)
     a, small, safe = _features(deltas, params.feat)
     if tape is not None:
         tape += [deltas, (a, small, safe)]
@@ -276,7 +286,7 @@ def forward(params: NetParams, stencils, tape: list | None = None):
     w = _softmax(z)
     if tape is not None:
         tape.append((a, w))
-    return w
+    return w[: len(rows)].reshape(*lead, 2)
 
 
 def _rational_backward(p, q, x, upstream):
@@ -314,6 +324,8 @@ def backward(params: NetParams, tape: list, d_weights) -> np.ndarray:
         grad[at[path]] = np.ravel(value)
 
     a, w = tape.pop()
+    if len(w) > len(d_weights):  # a one-row batch ran twice; the copy adds zeros
+        d_weights = np.concatenate([d_weights, np.zeros_like(d_weights)])
     d_z = w * (d_weights - np.sum(d_weights * w, axis=1, keepdims=True))
     put(("head", "W"), d_z.T @ a)
     put(("head", "b"), d_z.sum(axis=0))
@@ -375,30 +387,27 @@ def eno_filter(weights, c_eno: float = C_ENO_DEFAULT):
 def nn_reconstruct(params: NetParams, stencils):
     """Inference-time face value: thresholded network weights on the interpolants.
 
-    The network sees only the deltas, so all flat stencils (four zero deltas)
-    share one output, and one ``forward`` call covers the others plus one flat
-    stencil.  A one-row matmul rounds differently, so that batch has two rows
-    or more, and an input of one-row matmuls (shape (3,) or (..., 1, 3)) is
-    not split: the bits are those of ``forward`` on the whole input.
+    ``stencils`` is any (..., 3) array, else ValueError; the result has its
+    leading shape, and each stencil's bits do not depend on that shape.  The
+    network sees only the deltas, so all flat stencils (four zero deltas)
+    share one output, and one ``forward`` call covers the others plus one
+    flat stencil.
     """
-    s = np.asarray(stencils, dtype=float)
-    um1, u0, up1 = s[..., 0], s[..., 1], s[..., 2]
-    flat = (um1 == u0) & (u0 == up1)
-    if s.ndim < 2 or s.shape[-2] < 2 or not flat.any():
-        w = forward(params, s)
-        w0 = _eno_w0(w[..., 0], w[..., 1], params.c_eno)
+    rows, lead = _rows(stencils)
+    um1, u0, up1 = rows.T
+    # 2 * u0 overflows from 2**1023 on, so such a row's second difference is inf
+    flat = (um1 == u0) & (u0 == up1) & (np.abs(u0) < 2.0**1023)
+    if not flat.any():
+        w = forward(params, rows)
+        w0 = _eno_w0(w[:, 0], w[:, 1], params.c_eno)
     else:
-        # 2 * u0 overflows from 2**1023 on; with no flat row left, argmax
-        # picks a live row, whose fill is then overwritten
-        flat = (flat & (np.abs(u0) < 2.0**1023)).ravel()
         live = np.flatnonzero(~flat)
-        rows = np.append(live, [np.argmax(flat)] * max(1, 2 - live.size))
-        w = forward(params, s.reshape(-1, 3)[rows])
+        w = forward(params, rows[np.append(live, np.argmax(flat))])
         w0_rows = _eno_w0(w[:, 0], w[:, 1], params.c_eno)
-        w0 = np.full(s.shape[:-1], w0_rows[-1])
-        w0.flat[live] = w0_rows[: live.size]
+        w0 = np.full(len(rows), w0_rows[-1])
+        w0[live] = w0_rows[:-1]
     i0, i1 = interpolants3(um1, u0, up1)
-    return w0 * i0 + (1.0 - w0) * i1
+    return (w0 * i0 + (1.0 - w0) * i1).reshape(lead)
 
 
 class NNScheme:

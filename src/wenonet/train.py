@@ -116,7 +116,6 @@ class TrainConfig:
 class TrainedModel:
     params: NetParams
     config: TrainConfig
-    grid_errors: dict[str, dict[int, float]] = field(default_factory=dict)
     orders: dict[str, float] = field(default_factory=dict)
     recon_loss: float = float("nan")
     dev_loss: float = float("nan")
@@ -260,7 +259,7 @@ def train_model(
         params.theta[:], state = adam_step(params.theta, grad, state, lr)
     log = np.asarray(log).reshape(-1, 6)  # (0, 6) after zero steps
     model = TrainedModel(params=params, config=cfg, log=log, skipped_steps=skipped)
-    model.grid_errors, model.orders = evaluate_orders(NNScheme(params), eval_grids)
+    model.orders = evaluate_orders(NNScheme(params), eval_grids)
     return model
 
 
@@ -279,15 +278,13 @@ def interpolation_error(scheme, spec: FunctionSpec, nx: int) -> float:
 
 
 def evaluate_orders(scheme, nx_values: tuple[int, ...] = DEFAULT_NX_VALUES):
-    """Interpolation errors and fitted orders on the two evaluation functions."""
-    grid_errors: dict[str, dict[int, float]] = {}
+    """Fitted interpolation orders on the two evaluation functions."""
     orders: dict[str, float] = {}
     for name in ("sine_cubed", "sine_step"):
         spec = eval_function(name)
-        errs = {nx: interpolation_error(scheme, spec, nx) for nx in nx_values}
-        grid_errors[name] = errs
-        orders[name] = convergence_order(list(errs.items()))
-    return grid_errors, orders
+        errs = [(nx, interpolation_error(scheme, spec, nx)) for nx in nx_values]
+        orders[name] = convergence_order(errs)
+    return orders
 
 
 def convergence_order(points) -> float:

@@ -242,16 +242,30 @@ def test_every_config_key_reaches_the_run(tmp_path):
     assert rows[0]["criterion"] == model["criterion"]
 
 
-def test_train_sweep_casts_top_level_counts(tmp_path):
+def test_train_sweep_casts_top_level_counts(tmp_path, capsys):
     data = tmp_path / "data"
     run_cli("gen-data", "--out", str(data), "--nx-values", "16", "--pairs-per-grid", "64")
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
+    doc = {
         "total_steps": 2.5, "batch_size": 16.0,
         "sweep": {"alphas": [0.1], "beta_ds": [0.1], "peak_lrs": [1e-3]},
         "val": {"nx_values": [16], "pairs_per_grid": 32},
-    }))
+    }
     out = tmp_path / "models"
+    # a count that is a fraction or a boolean is not truncated: it exits 2
+    for bad, field in ({"total_steps": 2.5}, "'total_steps'"), ({"seed": True}, "'seed'"), (
+        {"val": {**doc["val"], "nx_values": [16.7]}}, "'val.nx_values'"
+    ):
+        cfg.write_text(json.dumps({**doc, "total_steps": 2, **bad}))
+        assert run_cli("train", "--dataset", str(data / "dataset.csv"), "--config", str(cfg),
+                       "--out", str(out)) == 2, bad
+        assert f"config field {field}" in capsys.readouterr().err
+    cfg.write_text(json.dumps({"nx_values": [16.7], "pairs_per_grid": 32}))
+    assert run_cli("gen-data", "--config", str(cfg), "--out", str(tmp_path / "d")) == 2
+    assert "config field 'nx_values'" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "d").exists()
+    # an integral float is a count
+    cfg.write_text(json.dumps({**doc, "total_steps": 2.0}))
     assert run_cli("train", "--dataset", str(data / "dataset.csv"), "--config", str(cfg),
                    "--out", str(out)) == 0
     manifest = json.loads((out / "train-manifest.txt").read_text().split("\n", 1)[1])

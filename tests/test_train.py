@@ -68,13 +68,14 @@ def test_loss_gamma_zero_keeps_only_deviation_term():
     assert parts["loss_d"] == pytest.approx(expected_dev, rel=1e-12)
 
 
-def test_gradient_matches_finite_differences():
+@pytest.mark.parametrize("batch", [32, 1])  # forward runs one row twice; backward pads
+def test_gradient_matches_finite_differences(batch):
     rng = np.random.default_rng(5)
     params = noisy_params(4)
     theta = rn.params_to_vector(params)
     hyper = tr.LossHyper(alpha=0.1, beta_d=0.3, beta_w=1e-4)
-    s = rng.normal(size=(32, 3))
-    y = np.clip(rng.normal(size=32), s.min(axis=1), s.max(axis=1))
+    s = rng.normal(size=(batch, 3))
+    y = np.clip(rng.normal(size=batch), s.min(axis=1), s.max(axis=1))
 
     def loss_of(vec):
         return tr.loss_and_grad(rn.vector_to_params(vec), s, y, hyper)[0]
