@@ -108,8 +108,8 @@ def convergence_study(schemes, target, nx_list) -> list[ConvergenceRow]:
     FunctionSpec (face-reconstruction RMSE).
     """
     nx_list = [int(nx) for nx in nx_list]
-    if len(nx_list) < 3:
-        raise ValueError("need at least three grid sizes for a convergence study")
+    if len(set(nx_list)) < 3:
+        raise ValueError("need at least three distinct grid sizes for a convergence study")
     rows: list[ConvergenceRow] = []
     for scheme in schemes:
         errs = []

@@ -217,19 +217,14 @@ def cmd_train(args) -> dict:
         save_params(model.params, out / f"{model_id}.json")
         np.savetxt(out / f"train_log_{model_id}.csv", model.log, fmt=["%d"] + ["%.17g"] * 5,
                    delimiter=",", header=train.TRAIN_LOG_HEADER, comments="")
-        rows.append(
-            {
-                "model_id": model_id,
-                "alpha": model.config.hyper.alpha,
-                "beta_d": model.config.hyper.beta_d,
-                "peak_lr": model.config.peak_lr,
-                "order_g": model.orders["sine_cubed"],
-                "order_h": model.orders["sine_step"],
-                "recon_loss": model.recon_loss,
-                "dev_loss": model.dev_loss,
-                "criterion": criteria[i],
-            }
-        )
+        rows.append({
+            "model_id": model_id,
+            "alpha": model.config.hyper.alpha,
+            "beta_d": model.config.hyper.beta_d,
+            "peak_lr": model.config.peak_lr,
+            **train.selection_row(model),
+            "criterion": criteria[i],
+        })
     analysis.emit_report(
         rows,
         out / REGISTRY_NAME,
@@ -248,12 +243,9 @@ def cmd_train(args) -> dict:
 def cmd_select(args) -> None:
     criterion = _choice(args.criterion, train.SELECTION_CRITERIA, "criterion")
     rows, _ = analysis.parse_report(Path(args.registry))
-    keys = ("order_g", "order_h", "recon_loss", "dev_loss")
-    missing = [k for k in (*keys, "model_id") if rows and k not in rows[0]]
-    if missing:
-        raise ValueError(f"registry {args.registry} lacks columns {missing}")
-    best = train.select_index([[float(r[k]) for k in keys] for r in rows], criterion)
-    print(rows[best]["model_id"])
+    if any("model_id" not in r for r in rows):
+        raise ValueError(f"registry {args.registry} lacks the column 'model_id'")
+    print(rows[train.select_index(rows, criterion)]["model_id"])
 
 
 def _resolve_problem(args) -> solver.Problem:

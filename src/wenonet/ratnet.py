@@ -132,8 +132,9 @@ class NetParams:
     ``feat`` (one rational per delta feature), ``layers`` (the dense maps
     between hidden layers; the features are the first, so ``len(layers) ==
     len(arch) - 1``) and ``head_W``/``head_b`` are views of ``theta`` cut by
-    ``_blocks(arch)``.  Write through them (``params.head_W[:] = ...``):
-    reassigning a view attribute detaches it from ``theta``.
+    ``_blocks(arch)``, as are ``feat_p`` (4, 4, 1) and ``feat_q`` (3, 4, 1), the
+    feature coefficients stacked to broadcast on (4, n) deltas.  Write through
+    them (``params.head_W[:] = ...``): reassigning a view detaches it from ``theta``.
     """
 
     theta: np.ndarray
@@ -159,6 +160,9 @@ class NetParams:
             for i in range(len(arch) - 1)
         ]
         self.head_W, self.head_b = v["head", "W"], v["head", "b"]
+        # the feature blocks lead theta, one (p, q) row per feature
+        feat = theta[: at["feat", FEATURE_COUNT - 1, "q"].stop].reshape(FEATURE_COUNT, -1).T
+        self.feat_p, self.feat_q = feat[: _NUM_DEG + 1, :, None], feat[_NUM_DEG + 1 :, :, None]
 
     def __reduce__(self):  # pickle and deepcopy rebuild the views on the copy's theta
         return NetParams, (self.theta, self.arch, self.c_eno)
@@ -211,21 +215,15 @@ def _deltas(rows):
     return np.abs([u0 - um1, up1 - u0, up1 - um1, up1 - 2.0 * u0 + um1])
 
 
-def _feature_coeffs(feat: list[RationalCoeffs]):
-    """The feature rationals' p (4, 4, 1) and q (3, 4, 1), to broadcast on (4, n) deltas."""
-    p = np.array([c.p for c in feat]).T[..., None]
-    q = np.array([c.q for c in feat]).T[..., None]
-    return p, q
-
-
-def _features(deltas, feat: list[RationalCoeffs]):
+def _features(deltas, p, q):
     """Unit-normalized feature rationals of (4, n) ``deltas``.
 
-    Returns the (n, 4) features (a view of the (4, n) result), and the
-    zero-row mask and divisor.  The squares are summed in
-    ``np.linalg.norm``'s order for a row of four, so its bits are kept.
+    ``p`` and ``q`` are stacked as ``NetParams.feat_p``/``feat_q``.  Returns the
+    (n, 4) features (a view of the (4, n) result), and the zero-row mask and
+    divisor.  The squares are summed in ``np.linalg.norm``'s order for a row
+    of four, so its bits are kept.
     """
-    alpha, _, den = _rational_terms(*_feature_coeffs(feat), deltas)
+    alpha, _, den = _rational_terms(p, q, deltas)
     alpha /= den
     sq = alpha * alpha
     safe = np.sqrt(((sq[0] + sq[1]) + sq[2]) + sq[3])
@@ -243,7 +241,8 @@ def rational_features(stencils, feat: list[RationalCoeffs]):
     zero vector.
     """
     rows, lead = _rows(stencils)
-    return _features(_deltas(rows), feat)[0].reshape(*lead, FEATURE_COUNT)
+    p, q = (np.array([getattr(c, k) for c in feat]).T[..., None] for k in "pq")
+    return _features(_deltas(rows), p, q)[0].reshape(*lead, FEATURE_COUNT)
 
 
 def _softmax(z):
@@ -272,7 +271,7 @@ def forward(params: NetParams, stencils, tape: list | None = None):
     """
     rows, lead = _rows(stencils)
     deltas = _deltas(np.repeat(rows, 2, axis=0) if len(rows) == 1 else rows)
-    a, small, safe = _features(deltas, params.feat)
+    a, small, safe = _features(deltas, params.feat_p, params.feat_q)
     if tape is not None:
         tape += [deltas, (a, small, safe)]
     for layer in params.layers:
@@ -348,8 +347,7 @@ def backward(params: NetParams, tape: list, d_weights) -> np.ndarray:
     d_alpha = np.where(small, 0.0, d_unit.T / safe)
     # the four feature rationals in one call on the (4, n) deltas
     deltas = tape.pop()
-    p, q = _feature_coeffs(params.feat)
-    _, dp, dq = _rational_backward(p, q, deltas, d_alpha)
+    _, dp, dq = _rational_backward(params.feat_p, params.feat_q, deltas, d_alpha)
     for j in range(FEATURE_COUNT):
         put(("feat", j, "p"), dp[:, j])
         put(("feat", j, "q"), dq[:, j])
@@ -514,21 +512,22 @@ def vector_to_params(
 
 
 def params_to_json(params: NetParams) -> str:
+    """The weight file: each ``_blocks(arch)`` block at its path, in theta order."""
+    at = _slices(params.arch)
     doc = {
         "format_version": WEIGHT_FORMAT_VERSION,
         "arch": [int(n) for n in params.arch],
         "c_eno": float(params.c_eno),
-        "feat": [{"p": c.p.tolist(), "q": c.q.tolist()} for c in params.feat],
-        "layers": [
-            {
-                "W": layer.W.tolist(),
-                "b": layer.b.tolist(),
-                "act": {"p": layer.act.p.tolist(), "q": layer.act.q.tolist()},
-            }
-            for layer in params.layers
-        ],
-        "head": {"W": params.head_W.tolist(), "b": params.head_b.tolist()},
+        "feat": [],
+        "layers": [],  # stays empty for a one-entry arch
     }
+    for path, shape in _blocks(params.arch):
+        node = doc
+        for key in path[:-1]:
+            if isinstance(key, int) and key == len(node):  # a list entry's first block
+                node.append({})
+            node = node[key] if isinstance(key, int) else node.setdefault(key, {})
+        node[path[-1]] = params.theta[at[path]].reshape(shape).tolist()
     return json.dumps(doc, indent=2) + "\n"
 
 

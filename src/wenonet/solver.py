@@ -9,6 +9,7 @@ stepping is three-stage SSP Runge-Kutta.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -90,6 +91,8 @@ class Problem:
             raise ValueError("riemann initial condition needs (u_l, u_r)")
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"cfl={self.cfl} outside (0, 1]")
+        if not 0.0 <= self.T < math.inf:  # NaN fails the comparison too
+            raise ValueError(f"T={self.T} must be finite and non-negative")
 
 
 def advection_cosine(T: float = 5.0, cfl: float = DEFAULT_CFL) -> Problem:

@@ -14,6 +14,7 @@ import numpy as np
 
 from .funcspace import (
     DEFAULT_NX_VALUES,
+    EVAL_FAMILIES,
     Dataset,
     FunctionSpec,
     discretize,
@@ -50,6 +51,7 @@ __all__ = [
     "interpolation_error",
     "evaluate_orders",
     "convergence_order",
+    "selection_row",
     "select_index",
     "select_model",
     "sweep_grid",
@@ -62,12 +64,13 @@ DEFAULT_SWEEP_ALPHAS = (0.01, 0.03, 0.1, 0.3)
 DEFAULT_SWEEP_BETA_D = (0.03, 0.1, 0.3)
 DEFAULT_SWEEP_PEAK_LR = (5e-4, 1e-4, 1e-5)
 
-SELECTION_CRITERIA = (
-    "conv-sine-step",
-    "conv-sin-cubed",
-    "least-recon-loss",
-    "least-dev-loss",
-)
+#: Each criterion's registry column (a ``selection_row`` key) and the value it wants.
+SELECTION_CRITERIA = {
+    "conv-sine-step": ("order_h", 3.0),
+    "conv-sin-cubed": ("order_g", 3.0),
+    "least-recon-loss": ("recon_loss", 0.0),
+    "least-dev-loss": ("dev_loss", 0.0),
+}
 
 TRAIN_LOG_HEADER = "step,lr,loss,loss_r,loss_d,loss_l2"
 
@@ -280,7 +283,7 @@ def interpolation_error(scheme, spec: FunctionSpec, nx: int) -> float:
 def evaluate_orders(scheme, nx_values: tuple[int, ...] = DEFAULT_NX_VALUES):
     """Fitted interpolation orders on the two evaluation functions."""
     orders: dict[str, float] = {}
-    for name in ("sine_cubed", "sine_step"):
+    for name in EVAL_FAMILIES:
         spec = eval_function(name)
         errs = [(nx, interpolation_error(scheme, spec, nx)) for nx in nx_values]
         orders[name] = convergence_order(errs)
@@ -291,7 +294,8 @@ def convergence_order(points) -> float:
     """Least-squares slope of log(error) against log(dx), dx proportional to 1/nx.
 
     Non-positive errors are excluded with a warning (constant scale factors in
-    dx shift the intercept only, never the slope).
+    dx shift the intercept only, never the slope); the rest must come from at
+    least two distinct grid sizes.
     """
     pts = [(int(nx), float(e)) for nx, e in points]
     kept = [(nx, e) for nx, e in pts if e > 0.0]
@@ -300,47 +304,54 @@ def convergence_order(points) -> float:
             f"convergence_order: excluded {len(pts) - len(kept)} non-positive errors",
             stacklevel=2,
         )
-    if len(kept) < 2:
-        raise ValueError("need at least two positive errors to fit a slope")
+    if len({nx for nx, _ in kept}) < 2:
+        raise ValueError("need positive errors on two distinct grid sizes to fit a slope")
     log_dx = np.log([1.0 / nx for nx, _ in kept])
     log_e = np.log([e for _, e in kept])
     return float(np.polyfit(log_dx, log_e, 1)[0])
 
 
-def select_index(rows, criterion: str) -> int:
-    """Index of the best ``(order_g, order_h, recon_loss, dev_loss)`` row.
+def selection_row(model: TrainedModel) -> dict[str, float]:
+    """A trained model's selection columns, as the registry names them."""
+    return {
+        "order_g": model.orders["sine_cubed"],
+        "order_h": model.orders["sine_step"],
+        "recon_loss": model.recon_loss,
+        "dev_loss": model.dev_loss,
+    }
 
-    The criterion's value is minimized: the distance of the sin-cubed or
-    sine-step order from 3, or a validation loss.  Ties fall to the lower
-    reconstruction loss, then to the lower index.
+
+def select_index(rows, criterion: str) -> int:
+    """Index of the row whose criterion column is nearest the value it wants.
+
+    ``rows`` are mappings, such as ``selection_row``'s or a registry's, with
+    the criterion's column and ``recon_loss``.  Non-finite values rank last;
+    ties fall to the lower reconstruction loss, then to the lower index.
     """
     if criterion not in SELECTION_CRITERIA:
         raise ValueError(
-            f"unknown criterion {criterion!r}; expected {SELECTION_CRITERIA}"
+            f"unknown criterion {criterion!r}; expected {tuple(SELECTION_CRITERIA)}"
         )
     if not rows:
         raise ValueError("no models to select from")
+    column, wanted = SELECTION_CRITERIA[criterion]
+    missing = [c for c in sorted({column, "recon_loss"}) if any(c not in r for r in rows)]
+    if missing:
+        raise ValueError(f"a row lacks columns {missing} for criterion {criterion!r}")
 
-    def key(i):
-        order_g, order_h, recon_loss, dev_loss = rows[i]
-        primary = {
-            "conv-sine-step": abs(order_h - 3.0),
-            "conv-sin-cubed": abs(order_g - 3.0),
-            "least-recon-loss": recon_loss,
-            "least-dev-loss": dev_loss,
-        }[criterion]
-        return primary, recon_loss, i
+    def rank(i, row):
+        key = (abs(float(row[column]) - wanted), float(row["recon_loss"]))
+        return *(v if math.isfinite(v) else math.inf for v in key), i
 
-    return min(range(len(rows)), key=key)
+    distance, _, best = min(rank(i, r) for i, r in enumerate(rows))
+    if distance == math.inf:
+        raise ValueError(f"no model has a finite {column} for criterion {criterion!r}")
+    return best
 
 
 def select_model(models: list[TrainedModel], criterion: str) -> TrainedModel:
     """Pick by the criterion with ``select_index``'s ranking and tie-breaks."""
-    rows = [
-        (m.orders["sine_cubed"], m.orders["sine_step"], m.recon_loss, m.dev_loss)
-        for m in models
-    ]
-    return models[select_index(rows, criterion)]
+    return models[select_index([selection_row(m) for m in models], criterion)]
 
 
 def sweep_grid(

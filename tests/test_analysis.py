@@ -77,6 +77,9 @@ def test_convergence_study_reconstruction_target():
 def test_convergence_study_validates_input():
     with pytest.raises(ValueError):
         an.convergence_study([Weno3JS()], sv.advection_cosine(), [16, 32])
+    for repeated in ([64, 64, 64], [16, 32, 32, 16]):
+        with pytest.raises(ValueError, match="three distinct grid sizes"):
+            an.convergence_study([Weno3JS()], fs.eval_function("sine_cubed"), repeated)
     with pytest.raises(TypeError):
         an.convergence_study([Weno3JS()], "advection", [16, 32, 64])
 

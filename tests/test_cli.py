@@ -169,6 +169,18 @@ def test_train_config_with_bad_rate_or_loss_weight_exit_2(tmp_path, capsys):
     assert not (tmp_path / "m").exists()
 
 
+def test_training_divergence_exit_1(tmp_path, capsys):
+    data = tmp_path / "data"
+    run_cli("gen-data", "--out", str(data), "--nx-values", "16,32", "--pairs-per-grid", "256")
+    cfg = tmp_path / "wild.json"
+    cfg.write_text(json.dumps({"configs": [{"peak_lr": 1e8}]}))
+    code = run_cli("train", "--dataset", str(data / "dataset.csv"), "--config", str(cfg),
+                   "--steps", "20", "--batch-size", "64", "--out", str(tmp_path / "m"))
+    assert code == 1
+    assert "runtime failure: training diverged at step 2" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
 def test_train_config_with_no_models_exit_2(tmp_path, capsys):
     data = tmp_path / "data"
     run_cli("gen-data", "--out", str(data), "--nx-values", "16", "--pairs-per-grid", "64")
@@ -326,7 +338,7 @@ def test_usage_errors_name_the_valid_choices(tmp_path, capsys):
     assert "choose one of: conv-sin-cubed, conv-sine-step" in capsys.readouterr().err
     assert run_cli("select", "--registry", str(tmp_path / "models.csv"),
                    "--criterion", "conv-sine-step") == 2
-    assert "lacks columns ['order_g'" in capsys.readouterr().err
+    assert "lacks columns ['order_h', 'recon_loss']" in capsys.readouterr().err
 
 
 def test_program_errors_propagate_instead_of_exit_2(tmp_path, monkeypatch):
@@ -337,6 +349,16 @@ def test_program_errors_propagate_instead_of_exit_2(tmp_path, monkeypatch):
     with pytest.raises(TypeError, match="a bug inside the solver"):
         run_cli("solve", "--problem", "advection-cosine", "--scheme", "weno3-js",
                 "--out", str(tmp_path / "x"))
+
+
+def test_negative_end_time_or_repeated_grids_exit_2(tmp_path, capsys):
+    assert run_cli("solve", "--problem", "advection-cosine", "--scheme", "weno3-js",
+                   "--nx", "16", "--T", "-1", "--out", str(tmp_path / "s")) == 2
+    assert "T=-1.0 must be finite and non-negative" in capsys.readouterr().err
+    assert run_cli("converge", "--problem", "recon-sin3", "--schemes", "weno3-js",
+                   "--nx-list", "64,64,64", "--out", str(tmp_path / "c")) == 2
+    assert "three distinct grid sizes" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists() and not (tmp_path / "c").exists()
 
 
 def test_make_scheme_nn_roundtrip(tmp_path):
@@ -507,6 +529,22 @@ def test_select_picks_order_closest_to_three(tmp_path, capsys):
     )
     assert code == 0
     assert capsys.readouterr().out.strip() == "model_001"
+
+
+def test_select_ranks_nan_last_whatever_the_row_order(tmp_path, capsys):
+    def registry(order_hs):
+        rows = [{"model_id": f"model_{i:03d}", "order_g": 2.5, "order_h": h,
+                 "recon_loss": 0.5, "dev_loss": 0.5} for i, h in enumerate(order_hs)]
+        an.emit_report(rows, tmp_path / "models.csv", metadata={"seed": 0})
+        return run_cli("select", "--registry", str(tmp_path / "models.csv"),
+                       "--criterion", "conv-sine-step")
+
+    assert registry([float("nan"), 2.9]) == 0
+    assert capsys.readouterr().out.strip() == "model_001"
+    assert registry([2.9, float("nan")]) == 0
+    assert capsys.readouterr().out.strip() == "model_000"
+    assert registry([float("nan"), float("nan")]) == 2
+    assert "no model has a finite order_h" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

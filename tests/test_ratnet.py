@@ -1,6 +1,7 @@
 """Unit tests for the rational network: evaluation, features, ENO filter, IO."""
 
 import copy
+import json
 import pickle
 
 import numpy as np
@@ -396,6 +397,31 @@ def test_relu_fit_quality():
         assert not any(np.shares_memory(a, b) for b in blocks[i + 1 :])
 
 
+def test_stacked_feature_coefficients_are_views_of_theta():
+    for arch in ((4,), (4, 4, 4), (4, 8, 3)):
+        params = rn.init_params(arch, rng=np.random.default_rng(3))
+        params.theta[:] = np.random.default_rng(4).normal(size=params.theta.size)  # as Adam writes
+        for clone in (params, pickle.loads(pickle.dumps(params)), copy.deepcopy(params)):
+            p, q = clone.feat_p, clone.feat_q
+            assert p.shape == (4, 4, 1) and q.shape == (3, 4, 1)
+            assert np.shares_memory(p, clone.theta) and np.shares_memory(q, clone.theta)
+            assert np.array_equal(p[..., 0], np.array([c.p for c in clone.feat]).T)
+            assert np.array_equal(q[..., 0], np.array([c.q for c in clone.feat]).T)
+
+
+def test_weight_file_walks_the_block_table():
+    for arch in ((4,), (4, 8, 3)):
+        params = rn.init_params(arch, rng=np.random.default_rng(5))
+        text = rn.params_to_json(params)
+        doc = json.loads(text)
+        assert list(doc) == ["format_version", "arch", "c_eno", "feat", "layers", "head"]
+        assert len(doc["layers"]) == len(arch) - 1
+        if len(arch) > 1:
+            assert list(doc["layers"][0]) == ["W", "b", "act"]
+        assert rn.params_to_json(rn.params_from_json(text)) == text
+        assert rn.params_from_json(text).theta.tobytes() == params.theta.tobytes()
+
+
 def test_init_rationals_near_relu():
     params = rn.init_params(rng=np.random.default_rng(1))
     for x, target in [(-1.0, 0.0), (0.0, 0.0), (1.0, 1.0)]:
@@ -487,8 +513,6 @@ def test_weight_file_roundtrip_bit_stable(tmp_path):
 def test_weight_file_validation_names_first_bad_field(tmp_path):
     params = rn.init_params(rng=np.random.default_rng(0))
     text = rn.params_to_json(params)
-    import json
-
     doc = json.loads(text)
     del doc["head"]
     with pytest.raises(ValueError, match="'head'"):

@@ -1,13 +1,23 @@
 """Unit tests for the classical face-reconstruction kernels."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wenonet import reconstruct as rc
+from wenonet.ratnet import NNScheme, load_params
 
 rng = np.random.default_rng(1234)
+
+BENCH_WEIGHTS = Path(__file__).parents[1] / "bench" / "data" / "nn_weights.json"
+
+#: Every scheme the solver can run: the classical ones and a trained network.
+ALL_SCHEMES = [rc.Weno3JS(), rc.Weno3Z(), rc.Weno5JS(), rc.Quick(), rc.IdealWeights3(),
+               NNScheme(load_params(BENCH_WEIGHTS))]
 
 
 def dyadic_stencils(n, width=3):
@@ -156,6 +166,30 @@ def test_linear_exactness_all_schemes():
         assert got == pytest.approx(exact, abs=1e-12)
     got = rc.Weno5JS().face_value(np.array([um2, um1, u0, up1, up2]))
     assert got == pytest.approx(exact, abs=1e-12)
+
+
+_dyadic_ints = st.integers(-(2**20), 2**20)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scheme=st.sampled_from(ALL_SCHEMES), data=st.data(), e=st.integers(-40, 40),
+       m=_dyadic_ints, a=_dyadic_ints, b=_dyadic_ints)
+def test_every_scheme_follows_a_shift_and_is_exact_on_affine_data(scheme, data, e, m, a, b):
+    # stencils and shifts are integers times 2**e, so sums and differences are exact
+    width = scheme.width
+    rows = st.lists(_dyadic_ints, min_size=width, max_size=width)
+    k = np.array(data.draw(st.lists(rows, min_size=1, max_size=8)), dtype=float)
+    unit = 2.0**e
+    s, c = k * unit, m * unit
+    scale = unit * max(np.abs(k).max(), abs(m), 1)
+    shifted = scheme.face_value(s + c) - c
+    assert np.all(np.abs(shifted - scheme.face_value(s)) <= 1e-12 * scale)
+    # cell averages of a + b*x on unit cells centred at -r..r; the face is x = 1/2
+    r = width // 2
+    affine = (a + b * np.arange(-r, r + 1.0)) * unit
+    exact = (a + 0.5 * b) * unit
+    err = abs(scheme.face_value(affine) - exact)
+    assert err <= 1e-12 * unit * (abs(a) + (r + 1) * abs(b) + 1)
 
 
 def test_eno_behavior_at_step():

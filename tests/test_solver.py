@@ -27,6 +27,11 @@ def test_grid_and_problem_validation():
         sv.Problem("heat", "cosine")
     with pytest.raises(ValueError):
         sv.advection_cosine(cfl=1.5)
+    # the end time must be finite and non-negative; NaN fails too
+    for T in (-1.0, -1e-300, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            sv.advection_cosine(T=T)
+    assert sv.burgers_riemann(1.0, 0.0, T=0.0).T == 0.0
 
 
 def test_initial_averages_cosine():

@@ -1,5 +1,6 @@
 """Unit tests for losses, gradients, the optimizer, and model selection."""
 
+import itertools
 import multiprocessing
 
 import numpy as np
@@ -227,6 +228,15 @@ def test_convergence_order_excludes_nonpositive_with_warning():
         tr.convergence_order([(16, 0.0), (32, 0.0), (64, 1.0)])
 
 
+def test_convergence_order_needs_two_distinct_grids():
+    with pytest.raises(ValueError, match="distinct"):
+        tr.convergence_order([(64, 1e-2), (64, 2e-3), (64, 1e-3)])
+    # the excluded error was the only other grid size
+    with pytest.warns(UserWarning, match="excluded"), pytest.raises(ValueError, match="distinct"):
+        tr.convergence_order([(16, 0.0), (32, 1e-2), (32, 5e-3)])
+    assert tr.convergence_order([(16, 8e-3), (32, 1e-3), (32, 1e-3)]) == pytest.approx(3.0)
+
+
 def make_model(order_g, order_h, recon, dev):
     model = tr.TrainedModel(params=None, config=tr.TrainConfig())
     model.orders = {"sine_cubed": order_g, "sine_step": order_h}
@@ -254,6 +264,39 @@ def test_select_model_criteria_and_tiebreak():
         tr.select_model([], "conv-sine-step")
     with pytest.raises(ValueError):
         tr.select_model([m1], "newest")
+
+
+def test_selection_row_names_the_registry_columns():
+    row = tr.selection_row(make_model(2.2, 2.9, 0.5, 0.1))
+    assert row == {"order_g": 2.2, "order_h": 2.9, "recon_loss": 0.5, "dev_loss": 0.1}
+    assert {col for col, _ in tr.SELECTION_CRITERIA.values()} == set(row)
+
+
+def test_select_index_ranks_non_finite_values_last_in_any_row_order():
+    nan, inf = float("nan"), float("inf")
+    rows = [
+        {"order_h": nan, "recon_loss": 0.1},
+        {"order_h": 2.9, "recon_loss": 0.5},
+        {"order_h": -inf, "recon_loss": 0.0},
+        {"order_h": 3.1, "recon_loss": nan},  # as near 3 as 2.9; loses the recon tie
+        {"order_h": inf, "recon_loss": 0.0},
+    ]
+    for perm in itertools.permutations(range(len(rows))):
+        picked = tr.select_index([rows[k] for k in perm], "conv-sine-step")
+        assert perm[picked] == 1, perm
+    # registry rows: any float-castable values, extra columns ignored
+    assert tr.select_index([{"model_id": "a", "recon_loss": "nan", "dev_loss": 1},
+                            {"model_id": "b", "recon_loss": "0.3", "dev_loss": 2}],
+                           "least-recon-loss") == 1
+
+
+def test_select_index_needs_a_finite_value_and_its_columns():
+    models = [make_model(2.9, 2.9, float("nan"), float("nan")) for _ in range(3)]
+    with pytest.raises(ValueError, match="no model has a finite recon_loss"):
+        tr.select_model(models, "least-recon-loss")  # a sweep without val_dataset
+    assert tr.select_model(models, "conv-sine-step") is models[0]
+    with pytest.raises(ValueError, match=r"lacks columns \['dev_loss'\]"):
+        tr.select_index([{"order_h": 3.0, "recon_loss": 0.1}], "least-dev-loss")
 
 
 def test_selection_order_independence():
@@ -325,6 +368,28 @@ def test_run_sweep_validates_jobs():
     with pytest.raises(ValueError, match="jobs"):
         tr.run_sweep(small_dataset(), [tr.TrainConfig(total_steps=1)], jobs=0)
     assert tr.run_sweep(small_dataset(), [], jobs=4) == []
+
+
+def test_train_skips_a_step_with_a_non_finite_gradient(monkeypatch):
+    thetas = []
+    real = tr.loss_and_grad
+
+    def loss_and_grad(params, stencils, targets, hyper):
+        thetas.append(params.theta.copy())
+        loss, grad, parts = real(params, stencils, targets, hyper)
+        if len(thetas) == 4:
+            grad = np.where(np.arange(grad.size) == 5, np.nan, grad)
+        return loss, grad, parts
+
+    monkeypatch.setattr(tr, "loss_and_grad", loss_and_grad)
+    cfg = tr.TrainConfig(total_steps=8, warmup_steps=0, batch_size=64, seed=2, peak_lr=1e-3)
+    model = tr.train_model(small_dataset(), cfg, eval_grids=(16, 32))
+    assert model.skipped_steps == 1
+    after = thetas[1:] + [model.params.theta]
+    assert [not np.array_equal(a, b) for a, b in zip(thetas, after)] == [True] * 3 + [False] + [True] * 4
+    # the skipped step is still logged
+    assert model.log.shape == (8, 6)
+    assert np.array_equal(model.log[:, 0], np.arange(8)) and np.all(np.isfinite(model.log))
 
 
 def test_train_config_rejects_invalid_counts():
