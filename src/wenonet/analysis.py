@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .funcspace import FunctionSpec
+from .funcspace import FunctionSpec, discretize
 from .solver import GridSpec, Problem, default_grid, rhs, run, ssp_rk3_step
 from .train import convergence_order, interpolation_error
 
@@ -45,7 +45,6 @@ class ADRPoint:
     dispersion: float
     dissipation: float
     leakage: float
-    valid: bool = True
 
 
 @dataclass(frozen=True)
@@ -81,16 +80,11 @@ def adr(scheme, kappa_dx_list, nx: int = DEFAULT_ADR_NX) -> list[ADRPoint]:
             raise ValueError(
                 f"kappa*dx={kdx} is not an integer mode on nx={nx} cells"
             )
-        k = 2.0 * np.pi * m
-        edges = grid.edges
-        state = np.diff(-np.cos(k * edges) / k) / dx
+        state, _ = discretize(FunctionSpec("sine", (2.0 * m,), (0.0, 1.0)), nx)
         after = ssp_rk3_step(state, dt, lambda s: rhs(s, grid, scheme, "advection"))
         spec_before = np.fft.rfft(state)
         spec_after = np.fft.rfft(after)
         amp = spec_before[m]
-        if abs(amp) < 1e-12 * nx:
-            points.append(ADRPoint(float(kdx), np.nan, np.nan, np.nan, False))
-            continue
         kprime_dx = 1j * dx / dt * np.log(spec_after[m] / amp)
         residual = spec_after - spec_before
         residual[m] = 0.0

@@ -8,6 +8,7 @@ precision.  No quadrature is used anywhere in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,9 +30,6 @@ __all__ = [
     "build_dataset",
 ]
 
-#: Families used to generate training pairs.
-TRAIN_FAMILIES = ("polynomial", "step", "sawjump", "sine", "tanh")
-
 #: Families reserved for model evaluation / selection.
 EVAL_FAMILIES = ("sine_cubed", "sine_step")
 
@@ -46,15 +44,10 @@ DATASET_HEADER = "ubar_m1,ubar_0,ubar_p1,target,nx"
 #: Abscissa of the jump for the discontinuous families.
 JUMP_X = 0.5
 
-_DOMAINS = {
-    "polynomial": (-1.0, 1.0),
-    "tanh": (-1.0, 1.0),
-    "sine_cubed": (-1.0, 1.0),
-    "step": (0.0, 1.0),
-    "sawjump": (0.0, 1.0),
-    "sine": (0.0, 1.0),
-    "sine_step": (0.0, 1.0),
-}
+#: Sigmoid pulse constants: steepness and the abscissas of its two fronts.
+SIGMOID_K = 100.0
+SIGMOID_X1 = 0.05
+SIGMOID_X2 = 0.2
 
 _polyval = np.polynomial.polynomial.polyval
 _polyint = np.polynomial.polynomial.polyint
@@ -77,8 +70,75 @@ def _log_cosh(z: np.ndarray) -> np.ndarray:
     return a + np.log1p(np.exp(-2.0 * a)) - np.log(2.0)
 
 
-def _scalar_ok(x, out):
+def _softplus(z):
+    return np.logaddexp(0.0, z)
+
+
+def _cubic_of_cosine(c):
+    # antiderivative of sin(pi x)^3 in terms of c = cos(pi x)
+    return (c**3 / 3.0 - c) / np.pi
+
+
+def _apply(closed_form, x, params):
+    out = closed_form(np.asarray(x, dtype=float), params)
     return float(out) if np.ndim(x) == 0 else out
+
+
+class _Family(NamedTuple):
+    domain: tuple[float, float]
+    value: Callable  # (x, params) -> array
+    antiderivative: Callable  # (x, params) -> array, continuous across jumps
+    draw: Callable | None = None  # rng -> params, for the training families
+
+
+#: Every closed form in the package, keyed by family name.  The training
+#: families come first, in the order ``build_dataset`` indexes with its rng.
+#: Parameter ranges: polynomial coefficients U(-1,1) with degree 3; step levels
+#: U(-1,1); sawtooth sign Bernoulli(1/2) with jump height U(0.5,1); sine
+#: wavenumber U(2,20); tanh steepness U(5,30).  ``cosine`` and ``sigmoid`` are
+#: the periodic advection initial conditions.
+_FAMILIES = {
+    "polynomial": _Family((-1.0, 1.0),
+                          _polyval,
+                          lambda x, p: _polyval(x, _polyint(p)),
+                          lambda rng: tuple(rng.uniform(-1.0, 1.0, size=4))),
+    "step": _Family((0.0, 1.0),
+                    lambda x, p: np.where(x <= JUMP_X, p[0], p[1]),
+                    lambda x, p: np.where(x <= JUMP_X, p[0] * x,
+                                          p[0] * JUMP_X + p[1] * (x - JUMP_X)),
+                    lambda rng: tuple(rng.uniform(-1.0, 1.0, size=2))),
+    "sawjump": _Family((0.0, 1.0),
+                       lambda x, p: p[0] * x + p[1] * (x > JUMP_X),
+                       lambda x, p: 0.5 * p[0] * x**2 + p[1] * np.maximum(x - JUMP_X, 0.0),
+                       lambda rng: (-1.0 if rng.integers(0, 2) else 1.0,
+                                    float(rng.uniform(0.5, 1.0)))),
+    "sine": _Family((0.0, 1.0),
+                    lambda x, p: np.sin(p[0] * np.pi * x),
+                    lambda x, p: -np.cos(p[0] * np.pi * x) / (p[0] * np.pi),
+                    lambda rng: (float(rng.uniform(2.0, 20.0)),)),
+    "tanh": _Family((-1.0, 1.0),
+                    lambda x, p: np.tanh(p[0] * x),
+                    lambda x, p: _log_cosh(p[0] * x) / p[0],
+                    lambda rng: (float(rng.uniform(5.0, 30.0)),)),
+    "sine_cubed": _Family((-1.0, 1.0),
+                          lambda x, p: np.sin(np.pi * x) ** 3,
+                          lambda x, p: _cubic_of_cosine(np.cos(np.pi * x))),
+    "sine_step": _Family((0.0, 1.0),
+                         lambda x, p: np.sin(2.0 * np.pi * x) + (x > JUMP_X),
+                         lambda x, p: -np.cos(2.0 * np.pi * x) / (2.0 * np.pi)
+                         + np.maximum(x - JUMP_X, 0.0)),
+    "cosine": _Family((0.0, 1.0),
+                      lambda x, p: np.cos(2.0 * np.pi * x),
+                      lambda x, p: np.sin(2.0 * np.pi * x) / (2.0 * np.pi)),
+    "sigmoid": _Family((0.0, 1.0),
+                       lambda x, p: 1.0 / (1.0 + np.exp(-SIGMOID_K * (x - SIGMOID_X1)))
+                       + 1.0 / (1.0 + np.exp(SIGMOID_K * (x - SIGMOID_X2))),
+                       lambda x, p: (_softplus(SIGMOID_K * (x - SIGMOID_X1))
+                                     - _softplus(-SIGMOID_K * (x - SIGMOID_X2))) / SIGMOID_K),
+}
+
+#: Families used to generate training pairs.
+TRAIN_FAMILIES = tuple(name for name, fam in _FAMILIES.items() if fam.draw is not None)
 
 
 @dataclass(frozen=True)
@@ -94,60 +154,17 @@ class FunctionSpec:
     params: tuple[float, ...]
     domain: tuple[float, float]
 
+    def __post_init__(self):
+        if self.family not in _FAMILIES:
+            raise ValueError(f"unknown function family {self.family!r}")
+
     def value(self, x):
         """Pointwise evaluation (left-limit convention at jumps)."""
-        xs = np.asarray(x, dtype=float)
-        fam = self.family
-        if fam == "polynomial":
-            out = _polyval(xs, self.params)
-        elif fam == "step":
-            ul, ur = self.params
-            out = np.where(xs <= JUMP_X, ul, ur)
-        elif fam == "sawjump":
-            sign, delta = self.params
-            out = sign * xs + delta * (xs > JUMP_X)
-        elif fam == "sine":
-            (k,) = self.params
-            out = np.sin(k * np.pi * xs)
-        elif fam == "tanh":
-            (k,) = self.params
-            out = np.tanh(k * xs)
-        elif fam == "sine_cubed":
-            out = np.sin(np.pi * xs) ** 3
-        elif fam == "sine_step":
-            out = np.sin(2.0 * np.pi * xs) + (xs > JUMP_X)
-        else:
-            raise ValueError(f"unknown function family {fam!r}")
-        return _scalar_ok(x, out)
+        return _apply(_FAMILIES[self.family].value, x, self.params)
 
     def antiderivative(self, x):
         """Closed-form antiderivative, continuous across jumps."""
-        xs = np.asarray(x, dtype=float)
-        fam = self.family
-        if fam == "polynomial":
-            out = _polyval(xs, _polyint(self.params))
-        elif fam == "step":
-            ul, ur = self.params
-            out = np.where(xs <= JUMP_X, ul * xs, ul * JUMP_X + ur * (xs - JUMP_X))
-        elif fam == "sawjump":
-            sign, delta = self.params
-            out = 0.5 * sign * xs**2 + delta * np.maximum(xs - JUMP_X, 0.0)
-        elif fam == "sine":
-            (k,) = self.params
-            out = -np.cos(k * np.pi * xs) / (k * np.pi)
-        elif fam == "tanh":
-            (k,) = self.params
-            out = _log_cosh(k * xs) / k
-        elif fam == "sine_cubed":
-            c = np.cos(np.pi * xs)
-            out = (c**3 / 3.0 - c) / np.pi
-        elif fam == "sine_step":
-            out = -np.cos(2.0 * np.pi * xs) / (2.0 * np.pi) + np.maximum(
-                xs - JUMP_X, 0.0
-            )
-        else:
-            raise ValueError(f"unknown function family {fam!r}")
-        return _scalar_ok(x, out)
+        return _apply(_FAMILIES[self.family].antiderivative, x, self.params)
 
     def integral(self, lo: float, hi: float) -> float:
         return float(self.antiderivative(hi) - self.antiderivative(lo))
@@ -210,39 +227,30 @@ class Dataset:
         raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         if raw.shape[1] != 5:
             raise ValueError(f"dataset file {path} must have 5 columns")
+        finite = np.isfinite(raw).all(axis=1)
+        bad = ~finite | (raw[:, 4] != np.floor(raw[:, 4]))
+        if bad.any():
+            i = int(np.argmax(bad))  # row i sits on line i + 2, after the header
+            what = "a non-finite value" if not finite[i] else f"non-integral nx {float(raw[i, 4])}"
+            raise ValueError(f"dataset file {path} line {i + 2} has {what}")
         return cls(raw[:, :3], raw[:, 3], raw[:, 4].astype(np.int64))
 
 
 def sample_function(family: str, rng: np.random.Generator) -> FunctionSpec:
-    """Draw one random instance of a training family.
-
-    Parameter ranges: polynomial coefficients U(-1,1) with degree 3; step
-    levels U(-1,1); sawtooth sign Bernoulli(1/2) with jump height U(0.5,1);
-    sine wavenumber U(2,20); tanh steepness U(5,30).
-    """
-    if family == "polynomial":
-        params = tuple(rng.uniform(-1.0, 1.0, size=4))
-    elif family == "step":
-        params = tuple(rng.uniform(-1.0, 1.0, size=2))
-    elif family == "sawjump":
-        sign = -1.0 if rng.integers(0, 2) else 1.0
-        params = (sign, float(rng.uniform(0.5, 1.0)))
-    elif family == "sine":
-        params = (float(rng.uniform(2.0, 20.0)),)
-    elif family == "tanh":
-        params = (float(rng.uniform(5.0, 30.0)),)
-    else:
+    """Draw one random instance of a training family (ranges at ``_FAMILIES``)."""
+    if family not in TRAIN_FAMILIES:
         raise ValueError(
             f"unknown training family {family!r}; expected one of {TRAIN_FAMILIES}"
         )
-    return FunctionSpec(family, params, _DOMAINS[family])
+    fam = _FAMILIES[family]
+    return FunctionSpec(family, fam.draw(rng), fam.domain)
 
 
 def eval_function(name: str) -> FunctionSpec:
     """The two fixed evaluation functions used for model selection."""
     if name not in EVAL_FAMILIES:
         raise ValueError(f"unknown eval function {name!r}; expected {EVAL_FAMILIES}")
-    return FunctionSpec(name, (), _DOMAINS[name])
+    return FunctionSpec(name, (), _FAMILIES[name].domain)
 
 
 def _check_interval(spec: FunctionSpec, lo: float, hi: float) -> None:

@@ -9,11 +9,14 @@ stepping is three-stage SSP Runge-Kutta.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
+
+from .funcspace import FunctionSpec
 
 __all__ = [
     "GridSpec",
@@ -34,11 +37,6 @@ __all__ = [
     "l1_error",
     "total_variation",
 ]
-
-#: Sigmoid initial-condition constants.
-SIGMOID_K = 100.0
-SIGMOID_X1 = 0.05
-SIGMOID_X2 = 0.2
 
 DEFAULT_CFL = 0.4
 
@@ -116,28 +114,11 @@ def default_grid(problem: Problem, nx: int) -> GridSpec:
     return GridSpec(nx, (-6.0, 6.0), "dirichlet", problem.riemann)
 
 
-def _softplus(z):
-    return np.logaddexp(0.0, z)
-
-
-def _init_value(problem: Problem, x):
-    """Advection initial condition (cosine or sigmoid) at ``x``."""
-    x = np.asarray(x, dtype=float)
-    if problem.init == "cosine":
-        return np.cos(2.0 * np.pi * x)
-    k = SIGMOID_K
-    return 1.0 / (1.0 + np.exp(-k * (x - SIGMOID_X1))) + 1.0 / (
-        1.0 + np.exp(k * (x - SIGMOID_X2))
-    )
-
-
-def _init_antiderivative(problem: Problem, x):
-    """Antiderivative of the advection initial condition (cosine or sigmoid)."""
-    x = np.asarray(x, dtype=float)
-    if problem.init == "cosine":
-        return np.sin(2.0 * np.pi * x) / (2.0 * np.pi)
-    k = SIGMOID_K
-    return (_softplus(k * (x - SIGMOID_X1)) - _softplus(-k * (x - SIGMOID_X2))) / k
+@functools.lru_cache(maxsize=None)
+def _initial_condition(init: str) -> tuple[FunctionSpec, float]:
+    """Initial condition ``init`` on [0, 1] and its one-period integral, built once."""
+    spec = FunctionSpec(init, (), (0.0, 1.0))
+    return spec, spec.integral(0.0, 1.0)
 
 
 def initial_averages(problem: Problem, grid: GridSpec) -> np.ndarray:
@@ -246,7 +227,7 @@ def exact_solution(problem: Problem, x, t: float):
     """Pointwise exact solution (periodic translation, shock, or fan)."""
     x = np.asarray(x, dtype=float)
     if problem.kind == "advection":
-        return _init_value(problem, np.mod(x - t, 1.0))
+        return _initial_condition(problem.init)[0].value(np.mod(x - t, 1.0))
     u_l, u_r = problem.riemann
     if t <= 0.0:
         return np.where(x < 0.0, u_l, u_r)
@@ -263,12 +244,10 @@ def _exact_antiderivative(problem: Problem, x, t: float):
     x = np.asarray(x, dtype=float)
     if problem.kind == "advection":
         # integral of the periodic extension of the initial condition
-        period = _init_antiderivative(problem, 1.0) - _init_antiderivative(
-            problem, 0.0
-        )
+        spec, period = _initial_condition(problem.init)
         y = x - t
         k = np.floor(y)
-        return k * period + _init_antiderivative(problem, y - k)
+        return k * period + spec.antiderivative(y - k)
     u_l, u_r = problem.riemann
     if u_l == u_r:
         return u_l * x

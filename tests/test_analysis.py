@@ -28,7 +28,7 @@ def test_adr_consistency_and_stability(scheme):
     nx = 128
     kappas = 2.0 * np.pi * np.array([1, 2, 4, 8, 16, 32]) / nx
     points = an.adr(scheme, kappas, nx=nx)
-    assert all(p.valid for p in points)
+    assert all(np.isfinite([p.dispersion, p.dissipation, p.leakage]).all() for p in points)
     # consistency: the dispersion curve approaches the ideal line at small kappa
     assert points[0].dispersion / points[0].kappa_dx == pytest.approx(1.0, abs=1e-3)
     for p in points:

@@ -181,6 +181,20 @@ def test_training_divergence_exit_1(tmp_path, capsys):
     assert not (tmp_path / "m").exists()
 
 
+def test_train_on_a_dataset_with_a_bad_row_exit_2(tmp_path, capsys):
+    data = tmp_path / "data"
+    run_cli("gen-data", "--out", str(data), "--nx-values", "16,32", "--pairs-per-grid", "256")
+    path = data / "dataset.csv"
+    good = path.read_text().splitlines()
+    for line, cells in ((40, "0.1,0.2,0.3,nan,16"), (300, "0.1,0.2,0.3,0.2,16.7")):
+        path.write_text("\n".join(good[:line - 1] + [cells] + good[line:]) + "\n")
+        code = run_cli("train", "--dataset", str(path), "--steps", "5",
+                       "--out", str(tmp_path / "m"))
+        assert code == 2, cells
+        assert f"line {line} has" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
 def test_train_config_with_no_models_exit_2(tmp_path, capsys):
     data = tmp_path / "data"
     run_cli("gen-data", "--out", str(data), "--nx-values", "16", "--pairs-per-grid", "64")

@@ -46,6 +46,12 @@ def test_sample_function_parameter_ranges():
 def test_sample_function_rejects_unknown_family():
     with pytest.raises(ValueError, match="unknown"):
         fs.sample_function("gaussian", fs.philox_rng(0, 0))
+    # an evaluation function is not a training family
+    with pytest.raises(ValueError, match="unknown training family 'sine_step'"):
+        fs.sample_function("sine_step", fs.philox_rng(0, 0))
+    # a spec of an unknown family fails when it is built, not when it is first evaluated
+    with pytest.raises(ValueError, match="unknown function family 'gaussian'"):
+        fs.FunctionSpec("gaussian", (), (0.0, 1.0))
 
 
 def test_cell_average_linear_midpoint():
@@ -110,24 +116,36 @@ def test_partition_sums_telescope_to_exact_integral(spec):
     assert np.sum(u) * dx == pytest.approx(total, rel=1e-12, abs=1e-13)
 
 
-@pytest.mark.parametrize(
-    "spec, x0",
-    [
-        (fs.FunctionSpec("sine", (3.0,), (0.0, 1.0)), 0.3),
-        (fs.FunctionSpec("tanh", (9.0,), (-1.0, 1.0)), 0.2),
-        (fs.FunctionSpec("polynomial", (0.1, -0.4, 0.8, 0.5), (-1.0, 1.0)), 0.25),
-        (fs.eval_function("sine_cubed"), 0.35),
-    ],
-    ids=lambda v: str(v),
-)
+#: One function of every family, each with a point away from ``fs.JUMP_X``.
+WIDTH_CASES = [
+    (fs.FunctionSpec("sine", (3.0,), (0.0, 1.0)), 0.3),
+    (fs.FunctionSpec("tanh", (9.0,), (-1.0, 1.0)), 0.2),
+    (fs.FunctionSpec("polynomial", (0.1, -0.4, 0.8, 0.5), (-1.0, 1.0)), 0.25),
+    (fs.eval_function("sine_cubed"), 0.35),
+    (fs.eval_function("sine_step"), 0.7),
+    (fs.FunctionSpec("step", (-0.4, 0.8), (0.0, 1.0)), 0.3),
+    (fs.FunctionSpec("sawjump", (-1.0, 0.75), (0.0, 1.0)), 0.7),
+    (fs.FunctionSpec("cosine", (), (0.0, 1.0)), 0.3),
+    (fs.FunctionSpec("sigmoid", (), (0.0, 1.0)), 0.08),
+]
+
+
+@pytest.mark.parametrize("spec, x0", WIDTH_CASES, ids=lambda v: str(v))
 def test_cell_average_is_second_order_in_width(spec, x0):
     hs = 1e-2 * 0.5 ** np.arange(7)
     errs = [
         abs(fs.cell_average(spec, x0 - h / 2, x0 + h / 2) - spec.value(x0))
         for h in hs
     ]
+    if spec.family in ("step", "sawjump"):  # linear away from the jump: exact but for rounding
+        assert max(errs) <= 1e-12
+        return
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert slope >= 1.9
+
+
+def test_width_cases_cover_every_family():
+    assert sorted(spec.family for spec, _ in WIDTH_CASES) == sorted(fs._FAMILIES)
 
 
 def test_dataset_counts_and_instances():
@@ -175,6 +193,24 @@ def test_dataset_csv_roundtrip(tmp_path):
     assert np.array_equal(ds.nx, loaded.nx)
     ds.save_csv(tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "row, col, text, message",
+    [(3, 3, "nan", "line 5 has a non-finite value"),
+     (0, 1, "-inf", "line 2 has a non-finite value"),
+     (7, 4, "16.7", "line 9 has non-integral nx 16.7")],
+)
+def test_dataset_csv_rejects_a_bad_row_by_its_line(tmp_path, row, col, text, message):
+    path = tmp_path / "dataset.csv"
+    fs.build_dataset(fs.DatasetConfig(nx_values=(16,), pairs_per_grid=16, seed=1)).save_csv(path)
+    lines = path.read_text().splitlines()
+    cells = lines[row + 1].split(",")
+    cells[col] = text
+    lines[row + 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=message):
+        fs.Dataset.load_csv(path)
 
 
 def test_philox_streams_are_independent_and_stable():

@@ -1,13 +1,16 @@
 """Golden regression: pinned outputs that a refactor must reproduce.
 
 A quicker witness than the acceptance gate for "same behaviour": the network's
-inference bits on fixed stencils, the final L1 error of every scheme on two
-solves at nx 64, a short fixed-seed training run, and the parameter layout
-(flat vector and weight-file bytes of fresh networks and of the benchmark's
-network).  The reference values were recorded before the network's forward
-and backward passes were merged into ``ratnet``, and the layout entries before
-``NetParams`` became views of one flat vector (numpy 2.4.6, OpenBLAS); the
-whole file runs in seconds.
+inference bits on fixed stencils, the final L1 error of every scheme on every
+problem at nx 64, a short fixed-seed training run, the bits of a small
+training set, the dispersion-dissipation fingerprint of two schemes, and the
+parameter layout (flat vector and weight-file bytes of fresh networks and of
+the benchmark's network).  The reference values were recorded before the
+network's forward and backward passes were merged into ``ratnet``, the layout
+entries before ``NetParams`` became views of one flat vector, and the dataset,
+fingerprint and last three problems' entries before ``funcspace`` became the
+only owner of the closed forms (numpy 2.4.6, OpenBLAS); the whole file runs in
+seconds.
 """
 
 import hashlib
@@ -17,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wenonet import analysis as an
 from wenonet import cli
 from wenonet import funcspace as fs
 from wenonet import ratnet as rn
@@ -26,7 +30,7 @@ from wenonet import train as tr
 GOLDEN = json.loads((Path(__file__).parent / "golden.json").read_text())
 
 SCHEMES = ("weno3-js", "weno3-z", "weno5-js", "quick", "ideal3", "nn")
-PROBLEMS = ("advection-cosine", "burgers-shock")
+PROBLEMS = tuple(cli.PROBLEMS)
 ARCHS = ((4, 4), (4, 4, 4), (4, 8, 4, 4))
 BENCH_WEIGHTS = Path(__file__).parents[1] / "bench" / "data" / "nn_weights.json"
 
@@ -55,10 +59,13 @@ def sha256(a) -> str:
     return hashlib.sha256(np.ascontiguousarray(a, dtype=float).tobytes()).hexdigest()
 
 
+def golden_scheme(name: str):
+    return rn.NNScheme(golden_params()) if name == "nn" else cli.make_scheme(name)
+
+
 def final_l1(problem: str, scheme: str) -> str:
     prob = cli.PROBLEMS[problem](5.0, 0.4)
-    s = rn.NNScheme(golden_params()) if scheme == "nn" else cli.make_scheme(scheme)
-    return float.hex(sv.run(prob, sv.default_grid(prob, 64), s).final_error)
+    return float.hex(sv.run(prob, sv.default_grid(prob, 64), golden_scheme(scheme)).final_error)
 
 
 def short_training():
@@ -82,6 +89,27 @@ def test_forward_and_nn_reconstruct_bits():
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_final_l1_bits(problem, scheme):
     assert final_l1(problem, scheme) == GOLDEN["final_l1"][problem][scheme]
+
+
+def dataset_bits() -> str:
+    ds = fs.build_dataset(
+        fs.DatasetConfig(nx_values=(16, 64), pairs_per_grid=1024, seed=0)
+    )
+    return sha256(np.column_stack([ds.ubar, ds.target, ds.nx]))
+
+
+def adr_bits(scheme: str) -> str:
+    points = an.adr(golden_scheme(scheme), an.default_kappa_grid())
+    return sha256([[p.kappa_dx, p.dispersion, p.dissipation, p.leakage] for p in points])
+
+
+def test_dataset_bits():
+    assert dataset_bits() == GOLDEN["dataset_sha256"]
+
+
+@pytest.mark.parametrize("scheme", ("weno3-js", "nn"))
+def test_adr_bits(scheme):
+    assert adr_bits(scheme) == GOLDEN["adr_sha256"][scheme]
 
 
 def test_short_training_run():

@@ -192,6 +192,38 @@ def test_every_scheme_follows_a_shift_and_is_exact_on_affine_data(scheme, data, 
     assert err <= 1e-12 * unit * (abs(a) + (r + 1) * abs(b) + 1)
 
 
+def magnitude_rows(width):
+    """Stencils at magnitudes 1e-300 to 1e300, denormals included, and flat rows.
+
+    A row takes one exponent for all its entries, or one exponent per entry.
+    """
+    exponents = st.integers(-300, 300)
+    mantissas = st.lists(st.floats(-1.0, 1.0), min_size=width, max_size=width)
+    one_scale = st.builds(lambda ms, e: [m * 10.0**e for m in ms], mantissas, exponents)
+    mixed = st.builds(lambda ms, es: [m * 10.0**e for m, e in zip(ms, es)], mantissas,
+                      st.lists(exponents, min_size=width, max_size=width))
+    flat = st.builds(lambda m, e: [m * 10.0**e] * width, st.floats(-1.0, 1.0), exponents)
+    return st.lists(one_scale | mixed | flat, min_size=1, max_size=16)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scheme=st.sampled_from(ALL_SCHEMES), data=st.data())
+def test_every_scheme_is_odd_and_stays_in_the_hull_of_its_interpolants(scheme, data):
+    s = np.array(data.draw(magnitude_rows(scheme.width)))
+    with np.errstate(all="ignore"):  # some schemes overflow to NaN at these magnitudes
+        v, v_neg = scheme.face_value(s), scheme.face_value(-s)
+    # odd symmetry: the same values and the same NaN pattern; a zero may flip its sign
+    assert np.array_equal(v_neg, -v, equal_nan=True)
+    if scheme.width != 3:
+        return
+    # a convex combination of the two sub-stencil interpolants, within 4 ulp
+    i0, i1 = rc.interpolants3(s[:, 0], s[:, 1], s[:, 2])
+    tol = 4.0 * np.spacing(np.maximum(np.abs(i0), np.abs(i1)))
+    ok = np.isfinite(v)
+    assert np.all(v[ok] >= np.minimum(i0, i1)[ok] - tol[ok])
+    assert np.all(v[ok] <= np.maximum(i0, i1)[ok] + tol[ok])
+
+
 def test_eno_behavior_at_step():
     for eps in (1e-6, 1e-8, 1e-12):
         w0, _ = rc.weno3_js_weights(0.0, 0.0, 1.0, eps=eps)

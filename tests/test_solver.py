@@ -1,5 +1,7 @@
 """Unit tests for the 1D finite-volume solver."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -7,6 +9,8 @@ from scipy.integrate import quad
 from wenonet import ratnet as rn
 from wenonet import solver as sv
 from wenonet.reconstruct import IdealWeights3, Quick, Weno3JS, Weno3Z, Weno5JS
+
+BENCH_WEIGHTS = Path(__file__).parents[1] / "bench" / "data" / "nn_weights.json"
 
 
 def test_grid_and_problem_validation():
@@ -176,11 +180,21 @@ def test_numerical_flux_examples():
 def test_rhs_constant_zero_and_conservation():
     grid = sv.GridSpec(64)
     rng = np.random.default_rng(0)
-    state = rng.normal(size=64)
-    for scheme in (Weno3JS(), Weno3Z(), Weno5JS(), Quick()):
+    states = [rng.normal(size=64), 1e3 * rng.normal(size=64), 1e-3 * rng.normal(size=64),
+              np.where(grid.centers < 0.5, 1.0, -0.25) + 0.1 * grid.centers]
+    eps = np.finfo(float).eps
+    for scheme in (Weno3JS(), Weno3Z(), Weno5JS(), Quick(), IdealWeights3(),
+                   rn.NNScheme(rn.load_params(BENCH_WEIGHTS))):
         assert np.allclose(sv.rhs(np.ones(64), grid, scheme, "advection"), 0.0, atol=1e-14)
-        total = np.sum(sv.rhs(state, grid, scheme, "burgers"))
+        total = np.sum(sv.rhs(states[0], grid, scheme, "burgers"))
         assert abs(total) < 1e-12 / grid.dx
+        for state in states:
+            for kind in ("advection", "burgers"):
+                flux = sv.numerical_flux(*sv.face_states(state, grid, scheme), kind)
+                # on a periodic grid face 0 and face nx are one face, seen from both ends
+                assert flux[:1].tobytes() == flux[-1:].tobytes(), (scheme.name, kind)
+                mass = abs(np.sum(sv.rhs(state, grid, scheme, kind))) * grid.dx
+                assert mass <= grid.nx * eps * np.max(np.abs(flux)), (scheme.name, kind)
 
 
 def test_rhs_advection_derivative_converges():
