@@ -12,7 +12,7 @@ import numpy as np
 from wenonet import funcspace as fs
 
 # One concrete function: f(x) = sin(2 pi x) on [0, 1].
-spec = fs.FunctionSpec("sine", (2.0,), (0.0, 1.0))
+spec = fs.FunctionSpec("sine", (2.0,))
 
 # Cell averages come from the antiderivative, not from sampling.
 print("mean of sin(2 pi x) over [0, 1/2]:", fs.cell_average(spec, 0.0, 0.5))

@@ -80,7 +80,7 @@ def adr(scheme, kappa_dx_list, nx: int = DEFAULT_ADR_NX) -> list[ADRPoint]:
             raise ValueError(
                 f"kappa*dx={kdx} is not an integer mode on nx={nx} cells"
             )
-        state, _ = discretize(FunctionSpec("sine", (2.0 * m,), (0.0, 1.0)), nx)
+        state, _ = discretize(FunctionSpec("sine", (2.0 * m,)), nx)
         after = ssp_rk3_step(state, dt, lambda s: rhs(s, grid, scheme, "advection"))
         spec_before = np.fft.rfft(state)
         spec_after = np.fft.rfft(after)

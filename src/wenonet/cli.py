@@ -369,8 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", required=True)
     p.add_argument("--scheme", required=True)
     p.add_argument("--nx", type=int, default=256)
-    p.add_argument("--T", type=float, default=5.0)
-    p.add_argument("--cfl", type=float, default=0.4)
+    p.add_argument("--T", type=float, default=solver.DEFAULT_T)
+    p.add_argument("--cfl", type=float, default=solver.DEFAULT_CFL)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("converge", help="error-vs-resolution study")
@@ -379,8 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schemes", required=True, help="comma-separated scheme names")
     p.add_argument("--nx-list", required=True, type=_int_list,
                    help="comma-separated grid sizes")
-    p.add_argument("--T", type=float, default=5.0)
-    p.add_argument("--cfl", type=float, default=0.4)
+    p.add_argument("--T", type=float, default=solver.DEFAULT_T)
+    p.add_argument("--cfl", type=float, default=solver.DEFAULT_CFL)
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("adr", help="dispersion-dissipation fingerprint")

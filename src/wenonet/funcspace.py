@@ -145,18 +145,21 @@ TRAIN_FAMILIES = tuple(name for name, fam in _FAMILIES.items() if fam.draw is no
 class FunctionSpec:
     """One analytical function on a closed interval.
 
-    ``family`` selects the closed form, ``params`` its coefficients.  At an
-    exact jump abscissa the pointwise value is the left limit, so interface
-    targets at a discontinuous face are deterministic.
+    ``family`` selects the closed form and its interval, ``params`` its
+    coefficients.  At an exact jump abscissa the pointwise value is the left
+    limit, so interface targets at a discontinuous face are deterministic.
     """
 
     family: str
     params: tuple[float, ...]
-    domain: tuple[float, float]
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown function family {self.family!r}")
+
+    @property
+    def domain(self) -> tuple[float, float]:
+        return _FAMILIES[self.family].domain
 
     def value(self, x):
         """Pointwise evaluation (left-limit convention at jumps)."""
@@ -242,15 +245,14 @@ def sample_function(family: str, rng: np.random.Generator) -> FunctionSpec:
         raise ValueError(
             f"unknown training family {family!r}; expected one of {TRAIN_FAMILIES}"
         )
-    fam = _FAMILIES[family]
-    return FunctionSpec(family, fam.draw(rng), fam.domain)
+    return FunctionSpec(family, _FAMILIES[family].draw(rng))
 
 
 def eval_function(name: str) -> FunctionSpec:
     """The two fixed evaluation functions used for model selection."""
     if name not in EVAL_FAMILIES:
         raise ValueError(f"unknown eval function {name!r}; expected {EVAL_FAMILIES}")
-    return FunctionSpec(name, (), _FAMILIES[name].domain)
+    return FunctionSpec(name, ())
 
 
 def _check_interval(spec: FunctionSpec, lo: float, hi: float) -> None:

@@ -422,9 +422,7 @@ class NNScheme:
 
 
 def init_params(
-    arch: tuple[int, ...] = DEFAULT_ARCH,
-    rng: np.random.Generator | None = None,
-    c_eno: float = C_ENO_DEFAULT,
+    arch: tuple[int, ...] = DEFAULT_ARCH, rng: np.random.Generator | None = None
 ) -> NetParams:
     """ReLU-approximant rationals everywhere, LeCun-normal dense weights, zero biases."""
     if arch[0] != FEATURE_COUNT:
@@ -432,7 +430,7 @@ def init_params(
     if rng is None:
         rng = np.random.default_rng(0)
     n = _slices(tuple(arch))["head", "b"].stop
-    params = NetParams(np.zeros(n), arch, c_eno)
+    params = NetParams(np.zeros(n), arch)
     for r in params.feat + [layer.act for layer in params.layers]:
         r.p[:], r.q[:] = RELU_P, RELU_Q
     for layer, n_in in zip(params.layers, arch):  # the rng draws each W, then the head

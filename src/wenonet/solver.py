@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 DEFAULT_CFL = 0.4
+DEFAULT_T = 5.0
 
 
 @dataclass(frozen=True)
@@ -73,38 +74,43 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class Problem:
-    kind: str  # "advection" | "burgers"
+    """Advection of a periodic pulse, or a Burgers Riemann problem for ``"riemann"``."""
+
     init: str  # "cosine" | "sigmoid" | "riemann"
-    riemann: tuple[float, float] | None = None
-    T: float = 5.0
+    riemann: tuple[float, float] | None = None  # (u_l, u_r), given only for "riemann"
+    T: float = DEFAULT_T
     cfl: float = DEFAULT_CFL
 
     def __post_init__(self):
-        inits = {"advection": ("cosine", "sigmoid"), "burgers": ("riemann",)}
-        if self.kind not in inits:
-            raise ValueError(f"unknown equation kind {self.kind!r}")
-        if self.init not in inits[self.kind]:
-            raise ValueError(f"{self.kind} takes initial conditions {inits[self.kind]}")
-        if self.init == "riemann" and self.riemann is None:
-            raise ValueError("riemann initial condition needs (u_l, u_r)")
+        if self.init not in ("cosine", "sigmoid", "riemann"):
+            raise ValueError(f"unknown initial condition {self.init!r}")
+        if (self.init == "riemann") != (self.riemann is not None):
+            raise ValueError("riemann states (u_l, u_r) are given for init 'riemann' only")
+        if self.riemann is not None and not all(map(math.isfinite, self.riemann)):
+            raise ValueError(f"riemann states {self.riemann} must be finite")
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"cfl={self.cfl} outside (0, 1]")
         if not 0.0 <= self.T < math.inf:  # NaN fails the comparison too
             raise ValueError(f"T={self.T} must be finite and non-negative")
 
+    @property
+    def kind(self) -> str:
+        """The equation: "burgers" for a Riemann problem, else "advection"."""
+        return "burgers" if self.init == "riemann" else "advection"
 
-def advection_cosine(T: float = 5.0, cfl: float = DEFAULT_CFL) -> Problem:
-    return Problem("advection", "cosine", None, T, cfl)
+
+def advection_cosine(T: float = DEFAULT_T, cfl: float = DEFAULT_CFL) -> Problem:
+    return Problem("cosine", None, T, cfl)
 
 
-def advection_sigmoid(T: float = 5.0, cfl: float = DEFAULT_CFL) -> Problem:
-    return Problem("advection", "sigmoid", None, T, cfl)
+def advection_sigmoid(T: float = DEFAULT_T, cfl: float = DEFAULT_CFL) -> Problem:
+    return Problem("sigmoid", None, T, cfl)
 
 
 def burgers_riemann(
-    u_l: float, u_r: float, T: float = 5.0, cfl: float = DEFAULT_CFL
+    u_l: float, u_r: float, T: float = DEFAULT_T, cfl: float = DEFAULT_CFL
 ) -> Problem:
-    return Problem("burgers", "riemann", (float(u_l), float(u_r)), T, cfl)
+    return Problem("riemann", (float(u_l), float(u_r)), T, cfl)
 
 
 def default_grid(problem: Problem, nx: int) -> GridSpec:
@@ -117,7 +123,7 @@ def default_grid(problem: Problem, nx: int) -> GridSpec:
 @functools.lru_cache(maxsize=None)
 def _initial_condition(init: str) -> tuple[FunctionSpec, float]:
     """Initial condition ``init`` on [0, 1] and its one-period integral, built once."""
-    spec = FunctionSpec(init, (), (0.0, 1.0))
+    spec = FunctionSpec(init, ())
     return spec, spec.integral(0.0, 1.0)
 
 
@@ -198,7 +204,9 @@ class SolveReport:
 
 
 def run(problem: Problem, grid: GridSpec, scheme) -> SolveReport:
-    """Integrate to ``problem.T`` recording the L1 error after every step."""
+    """Integrate to ``problem.T`` on its ``default_grid``, recording the L1 error per step."""
+    if grid != default_grid(problem, grid.nx):
+        raise ValueError(f"{grid} is not default_grid(problem, {grid.nx}) of {problem}")
     t0 = time.perf_counter()
     u = initial_averages(problem, grid)
     t = 0.0

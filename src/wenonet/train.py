@@ -22,15 +22,7 @@ from .funcspace import (
     face_targets,
     philox_rng,
 )
-from .ratnet import (
-    C_ENO_DEFAULT,
-    DEFAULT_ARCH,
-    NetParams,
-    NNScheme,
-    backward,
-    forward,
-    init_params,
-)
+from .ratnet import NetParams, NNScheme, backward, forward, init_params
 from .reconstruct import IDEAL_WEIGHTS3, interpolants3
 
 __all__ = [
@@ -81,6 +73,9 @@ _ADAM_EPS = 1e-8
 
 _IDEAL = np.asarray(IDEAL_WEIGHTS3)
 
+#: Guard of ``gamma``'s denominator on constant stencils.
+_EPS_GAMMA = 1e-15
+
 
 @dataclass(frozen=True)
 class LossHyper:
@@ -89,12 +84,10 @@ class LossHyper:
     alpha: float = 0.1
     beta_d: float = 0.1
     beta_w: float = 1e-6
-    eps_gamma: float = 1e-15
 
     def __post_init__(self):  # NaN fails every comparison, so it is rejected too
-        weights_ok = all(0.0 <= w < math.inf for w in (self.alpha, self.beta_d, self.beta_w))
-        if not (weights_ok and 0.0 < self.eps_gamma < math.inf):
-            raise ValueError("loss hyperparameters must be finite and non-negative, eps_gamma > 0")
+        if not all(0.0 <= w < math.inf for w in (self.alpha, self.beta_d, self.beta_w)):
+            raise ValueError("loss hyperparameters must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -105,8 +98,6 @@ class TrainConfig:
     batch_size: int = 1024
     seed: int = 0
     hyper: LossHyper = LossHyper()
-    arch: tuple[int, ...] = DEFAULT_ARCH
-    c_eno: float = C_ENO_DEFAULT
 
     def __post_init__(self):  # zero steps is allowed and returns the initialization
         if min(self.total_steps, self.warmup_steps) < 0 or self.batch_size < 1:
@@ -126,7 +117,7 @@ class TrainedModel:
     skipped_steps: int = 0
 
 
-def gamma(stencils, eps_gamma: float = 1e-15):
+def gamma(stencils):
     """Local smoothness ratio in [0, 1]: second difference over one-sided slopes.
 
     The triangle inequality bounds the ratio by one in exact arithmetic; the
@@ -135,7 +126,7 @@ def gamma(stencils, eps_gamma: float = 1e-15):
     s = np.asarray(stencils, dtype=float)
     um1, u0, up1 = s[..., 0], s[..., 1], s[..., 2]
     num = np.abs(um1 - 2.0 * u0 + up1)
-    den = np.abs(u0 - um1) + np.abs(u0 - up1) + eps_gamma
+    den = np.abs(u0 - um1) + np.abs(u0 - up1) + _EPS_GAMMA
     return np.minimum(num / den, 1.0)
 
 
@@ -154,7 +145,7 @@ def _loss_terms(w, s, y, hyper: LossHyper):
         bad = int(np.argmin(np.isfinite(resid)))
         raise RuntimeError(f"non-finite loss contribution at sample {bad}")
 
-    g = np.power(gamma(s, hyper.eps_gamma), hyper.alpha)
+    g = np.power(gamma(s), hyper.alpha)
     loss_r = float(np.mean(g * resid**2))
     dev = w - _IDEAL
     loss_d = float(np.mean((1.0 - g) * np.sum(dev**2, axis=1)))
@@ -234,7 +225,7 @@ def train_model(
     ``cfg.seed``, so reruns are bit-identical.  Adam updates ``params.theta``
     in place, so the layers, which are views of it, follow every step.
     """
-    params = init_params(cfg.arch, philox_rng(cfg.seed, 2**63), cfg.c_eno)
+    params = init_params(rng=philox_rng(cfg.seed, 2**63))
     state = AdamState.zeros(params.theta.size)
     shuffler = philox_rng(cfg.seed, 2**63 + 1)
     n = len(dataset)

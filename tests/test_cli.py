@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line pipeline."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -10,6 +11,7 @@ from wenonet import cli
 from wenonet import funcspace as fs
 from wenonet import ratnet as rn
 from wenonet import solver as sv
+from wenonet import train as tr
 from wenonet.cli import main, make_scheme
 from wenonet.reconstruct import Weno3JS
 
@@ -240,6 +242,10 @@ def test_every_config_key_reaches_the_run(tmp_path):
     val = {"nx_values": [32], "pairs_per_grid": 32, "seed": 5}
     assert (set(dataset), set(run), set(model), set(sweep)) == (
         set(cli.DATASET_KEYS), set(cli.RUN_KEYS), set(cli.MODEL_KEYS), set(cli.SWEEP_KEYS))
+    # every training setting is a config key, so none is out of a config's reach
+    settings = {f.name for f in dataclasses.fields(tr.TrainConfig)} - {"hyper"}
+    assert settings <= set(cli.RUN_KEYS) | set(cli.MODEL_KEYS)
+    assert {f.name for f in dataclasses.fields(tr.LossHyper)} <= set(cli._LOSS_KEYS)
 
     def manifest(out, command):
         return json.loads((out / f"{command}-manifest.txt").read_text().split("\n", 1)[1])

@@ -7,19 +7,19 @@ from wenonet import funcspace as fs
 
 
 def test_sine_forced_wavenumber_matches_closed_form():
-    spec = fs.FunctionSpec("sine", (2.0,), (0.0, 1.0))
+    spec = fs.FunctionSpec("sine", (2.0,))
     x = np.linspace(0.0, 1.0, 101)
     assert np.allclose(spec.value(x), np.sin(2.0 * np.pi * x), atol=1e-15)
 
 
 def test_degenerate_step_is_zero_function():
-    spec = fs.FunctionSpec("step", (0.0, 0.0), (0.0, 1.0))
+    spec = fs.FunctionSpec("step", (0.0, 0.0))
     x = np.linspace(0.0, 1.0, 33)
     assert np.all(spec.value(x) == 0.0)
 
 
 def test_tanh_endpoint_value():
-    spec = fs.FunctionSpec("tanh", (5.0,), (-1.0, 1.0))
+    spec = fs.FunctionSpec("tanh", (5.0,))
     assert spec.value(0.0) == 0.0
     assert spec.value(1.0) == pytest.approx(np.tanh(5.0), abs=1e-15)
     assert spec.value(1.0) == pytest.approx(0.99991, abs=1e-5)
@@ -51,26 +51,26 @@ def test_sample_function_rejects_unknown_family():
         fs.sample_function("sine_step", fs.philox_rng(0, 0))
     # a spec of an unknown family fails when it is built, not when it is first evaluated
     with pytest.raises(ValueError, match="unknown function family 'gaussian'"):
-        fs.FunctionSpec("gaussian", (), (0.0, 1.0))
+        fs.FunctionSpec("gaussian", ())
 
 
 def test_cell_average_linear_midpoint():
-    spec = fs.FunctionSpec("polynomial", (0.0, 1.0), (-1.0, 1.0))
+    spec = fs.FunctionSpec("polynomial", (0.0, 1.0))
     assert fs.cell_average(spec, 0.0, 0.5) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_cell_average_sine_closed_form():
-    spec = fs.FunctionSpec("sine", (2.0,), (0.0, 1.0))
+    spec = fs.FunctionSpec("sine", (2.0,))
     assert fs.cell_average(spec, 0.0, 0.5) == pytest.approx(2.0 / np.pi, abs=1e-15)
 
 
 def test_cell_average_half_covered_jump():
-    spec = fs.FunctionSpec("step", (0.0, 1.0), (0.0, 1.0))
+    spec = fs.FunctionSpec("step", (0.0, 1.0))
     assert fs.cell_average(spec, 0.25, 0.75) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_cell_average_rejects_bad_interval():
-    spec = fs.FunctionSpec("sine", (2.0,), (0.0, 1.0))
+    spec = fs.FunctionSpec("sine", (2.0,))
     with pytest.raises(ValueError):
         fs.cell_average(spec, -0.5, 0.5)
     with pytest.raises(ValueError):
@@ -78,11 +78,11 @@ def test_cell_average_rejects_bad_interval():
 
 
 def test_interface_value_examples():
-    cos_like = fs.FunctionSpec("sine", (2.0,), (0.0, 1.0))
+    cos_like = fs.FunctionSpec("sine", (2.0,))
     assert cos_like.value(0.5) == pytest.approx(0.0, abs=1e-15)
     h = fs.eval_function("sine_step")
     assert h.value(0.25) == pytest.approx(1.0, abs=1e-15)
-    step = fs.FunctionSpec("step", (0.0, 1.0), (0.0, 1.0))
+    step = fs.FunctionSpec("step", (0.0, 1.0))
     assert step.value(0.5) == 0.0  # left limit at the jump
 
 
@@ -99,11 +99,11 @@ def test_eval_functions():
 @pytest.mark.parametrize(
     "spec",
     [
-        fs.FunctionSpec("polynomial", (0.3, -0.7, 0.2, 0.9), (-1.0, 1.0)),
-        fs.FunctionSpec("step", (-0.4, 0.8), (0.0, 1.0)),
-        fs.FunctionSpec("sawjump", (-1.0, 0.75), (0.0, 1.0)),
-        fs.FunctionSpec("sine", (7.3,), (0.0, 1.0)),
-        fs.FunctionSpec("tanh", (21.0,), (-1.0, 1.0)),
+        fs.FunctionSpec("polynomial", (0.3, -0.7, 0.2, 0.9)),
+        fs.FunctionSpec("step", (-0.4, 0.8)),
+        fs.FunctionSpec("sawjump", (-1.0, 0.75)),
+        fs.FunctionSpec("sine", (7.3,)),
+        fs.FunctionSpec("tanh", (21.0,)),
         fs.eval_function("sine_cubed"),
         fs.eval_function("sine_step"),
     ],
@@ -118,15 +118,15 @@ def test_partition_sums_telescope_to_exact_integral(spec):
 
 #: One function of every family, each with a point away from ``fs.JUMP_X``.
 WIDTH_CASES = [
-    (fs.FunctionSpec("sine", (3.0,), (0.0, 1.0)), 0.3),
-    (fs.FunctionSpec("tanh", (9.0,), (-1.0, 1.0)), 0.2),
-    (fs.FunctionSpec("polynomial", (0.1, -0.4, 0.8, 0.5), (-1.0, 1.0)), 0.25),
+    (fs.FunctionSpec("sine", (3.0,)), 0.3),
+    (fs.FunctionSpec("tanh", (9.0,)), 0.2),
+    (fs.FunctionSpec("polynomial", (0.1, -0.4, 0.8, 0.5)), 0.25),
     (fs.eval_function("sine_cubed"), 0.35),
     (fs.eval_function("sine_step"), 0.7),
-    (fs.FunctionSpec("step", (-0.4, 0.8), (0.0, 1.0)), 0.3),
-    (fs.FunctionSpec("sawjump", (-1.0, 0.75), (0.0, 1.0)), 0.7),
-    (fs.FunctionSpec("cosine", (), (0.0, 1.0)), 0.3),
-    (fs.FunctionSpec("sigmoid", (), (0.0, 1.0)), 0.08),
+    (fs.FunctionSpec("step", (-0.4, 0.8)), 0.3),
+    (fs.FunctionSpec("sawjump", (-1.0, 0.75)), 0.7),
+    (fs.FunctionSpec("cosine", ()), 0.3),
+    (fs.FunctionSpec("sigmoid", ()), 0.08),
 ]
 
 

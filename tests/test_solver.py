@@ -20,15 +20,17 @@ def test_grid_and_problem_validation():
         sv.GridSpec(64, bc="neumann")
     with pytest.raises(ValueError):
         sv.GridSpec(64, bc="dirichlet")
-    with pytest.raises(ValueError):
-        sv.Problem("advection", "riemann")
-    # each equation takes only the initial conditions its exact solution covers
-    with pytest.raises(ValueError, match="advection takes"):
-        sv.Problem("advection", "riemann", (1.0, 0.0))
-    with pytest.raises(ValueError, match="burgers takes"):
-        sv.Problem("burgers", "cosine")
-    with pytest.raises(ValueError):
-        sv.Problem("heat", "cosine")
+    with pytest.raises(ValueError, match="unknown initial condition"):
+        sv.Problem("gaussian")
+    # Riemann states are given for a Riemann problem and for nothing else
+    with pytest.raises(ValueError, match="riemann states"):
+        sv.Problem("riemann")
+    with pytest.raises(ValueError, match="riemann states"):
+        sv.Problem("cosine", (1.0, 0.0))
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for states in ((bad, 0.0), (0.0, bad)):
+            with pytest.raises(ValueError, match="must be finite"):
+                sv.burgers_riemann(*states)
     with pytest.raises(ValueError):
         sv.advection_cosine(cfl=1.5)
     # the end time must be finite and non-negative; NaN fails too
@@ -36,6 +38,13 @@ def test_grid_and_problem_validation():
         with pytest.raises(ValueError, match="finite and non-negative"):
             sv.advection_cosine(T=T)
     assert sv.burgers_riemann(1.0, 0.0, T=0.0).T == 0.0
+    # run measures errors against its problem's exact solution, so only on its grid
+    shock = sv.burgers_riemann(1.0, 0.0, T=1.0)
+    for problem, grid in ((shock, sv.GridSpec(64, (-6.0, 6.0))),
+                          (shock, sv.GridSpec(64, (-6.0, 6.0), "dirichlet", (0.0, 0.0))),
+                          (sv.advection_cosine(T=0.1), sv.GridSpec(64, (0.0, 2.0)))):
+        with pytest.raises(ValueError, match="default_grid"):
+            sv.run(problem, grid, Weno3JS())
 
 
 def test_initial_averages_cosine():
