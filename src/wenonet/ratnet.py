@@ -6,7 +6,10 @@ two-way softmax head.  A hard-threshold filter restores the
 essentially-non-oscillatory property at inference time.
 
 ``forward`` (which can record a tape) and ``backward`` (reverse mode by hand)
-are the network's only forward and backward passes.
+are the network's only forward and backward passes.  The tape keeps each
+rational's numerator and denominators, so ``backward`` evaluates none of them
+again, and ``backward`` sums short rows and columns with the bits of numpy's
+reductions but without their per-row cost.
 
 Every learnable scalar is stored once, in the flat vector ``NetParams.theta``;
 the rationals, layers and head are views of it.  The block table
@@ -125,6 +128,16 @@ def _slices(arch: tuple[int, ...]) -> MappingProxyType:
     return MappingProxyType(out)
 
 
+def _feature_coeffs(vec, arch):
+    """The feature blocks of a theta-length vector as one (7, 4) view.
+
+    The blocks lead theta, one (p, q) row per feature; the view is
+    coefficient by feature.
+    """
+    stop = _slices(arch)["feat", FEATURE_COUNT - 1, "q"].stop
+    return vec[:stop].reshape(FEATURE_COUNT, -1).T
+
+
 @dataclass
 class NetParams:
     """Every learnable parameter of the network, stored once in ``theta``.
@@ -160,8 +173,7 @@ class NetParams:
             for i in range(len(arch) - 1)
         ]
         self.head_W, self.head_b = v["head", "W"], v["head", "b"]
-        # the feature blocks lead theta, one (p, q) row per feature
-        feat = theta[: at["feat", FEATURE_COUNT - 1, "q"].stop].reshape(FEATURE_COUNT, -1).T
+        feat = _feature_coeffs(theta, arch)
         self.feat_p, self.feat_q = feat[: _NUM_DEG + 1, :, None], feat[_NUM_DEG + 1 :, :, None]
 
     def __reduce__(self):  # pickle and deepcopy rebuild the views on the copy's theta
@@ -190,11 +202,24 @@ def _rational_terms(p, q, x):
     return _horner(p, x), den_raw, den
 
 
+def _rational(p, q, x, tape=None):
+    """p(x) / (|q(x)| + guard) on coefficients as for ``_rational_terms``.
+
+    Given a list as ``tape``, the numerator is kept and ``(x, num, den_raw,
+    den)`` is appended, so that ``_rational_backward`` need not evaluate them
+    again.
+    """
+    num, den_raw, den = _rational_terms(p, q, x)
+    if tape is None:
+        num /= den
+        return num
+    tape.append((x, num, den_raw, den))
+    return num / den
+
+
 def rational_eval(c: RationalCoeffs, x):
     """p(x) / (|q(x)| + guard); total for every finite input."""
-    num, _, den = _rational_terms(c.p, c.q, x)
-    num /= den
-    return num
+    return _rational(c.p, c.q, x)
 
 
 def _rows(stencils):
@@ -215,16 +240,15 @@ def _deltas(rows):
     return np.abs([u0 - um1, up1 - u0, up1 - um1, up1 - 2.0 * u0 + um1])
 
 
-def _features(deltas, p, q):
+def _features(deltas, p, q, tape=None):
     """Unit-normalized feature rationals of (4, n) ``deltas``.
 
     ``p`` and ``q`` are stacked as ``NetParams.feat_p``/``feat_q``.  Returns the
     (n, 4) features (a view of the (4, n) result), and the zero-row mask and
     divisor.  The squares are summed in ``np.linalg.norm``'s order for a row
-    of four, so its bits are kept.
+    of four, so its bits are kept.  ``tape`` is as for ``_rational``.
     """
-    alpha, _, den = _rational_terms(p, q, deltas)
-    alpha /= den
+    alpha = _rational(p, q, deltas, tape)
     sq = alpha * alpha
     safe = np.sqrt(((sq[0] + sq[1]) + sq[2]) + sq[3])
     small = safe < 1e-14
@@ -265,21 +289,22 @@ def forward(params: NetParams, stencils, tape: list | None = None):
     ``stencils`` is any (..., 3) array, else ValueError; a stencil's bits do
     not depend on that shape (one row runs twice: a one-row matmul rounds
     differently).  Given a list as ``tape``, each stage also appends what
-    ``backward`` needs: the (4, n) deltas, the normalization's output, mask
-    and divisor, each dense layer's input and pre-activation, and the head's
-    input and output.
+    ``backward`` needs, in order: each rational's ``(x, num, den_raw, den)``
+    (the (4, n) deltas and their terms first), the normalization's output,
+    mask and divisor, each dense layer's input before its rational's entry,
+    and the head's input and output.
     """
     rows, lead = _rows(stencils)
     deltas = _deltas(np.repeat(rows, 2, axis=0) if len(rows) == 1 else rows)
-    a, small, safe = _features(deltas, params.feat_p, params.feat_q)
+    a, small, safe = _features(deltas, params.feat_p, params.feat_q, tape)
     if tape is not None:
-        tape += [deltas, (a, small, safe)]
+        tape.append((a, small, safe))
     for layer in params.layers:
         z = a @ layer.W.T
         z += layer.b
         if tape is not None:
-            tape.append((a, z))
-        a = rational_eval(layer.act, z)
+            tape.append(a)
+        a = _rational(layer.act.p, layer.act.q, z, tape)
     z = a @ params.head_W.T
     z += params.head_b
     w = _softmax(z)
@@ -288,24 +313,53 @@ def forward(params: NetParams, stencils, tape: list | None = None):
     return w[: len(rows)].reshape(*lead, 2)
 
 
-def _rational_backward(p, q, x, upstream):
-    """Backprop through y = P(x)/(|Q(x)| + guard).
+def _row_sum(*products):
+    """Each row's sum of its products, with ``np.sum(..., axis=1)``'s bits.
 
-    ``p``, ``q`` and ``x`` are as for ``_rational_terms``.  Returns dL/dx and
-    the coefficient gradients summed over x's last axis.  The |Q| kink uses
-    sign(0) = 0 as subgradient.
+    numpy adds a short row's entries left to right from +0.0, so a row of
+    -0.0 entries sums to +0.0.
     """
-    num, den_raw, den = _rational_terms(p, q, x)
-    inv_den = 1.0 / den
-    t_p = upstream * inv_den  # dL/dp_k is the sum of t_p * x**k
-    y_s = num * np.sign(den_raw) * inv_den
-    t_q = -t_p * y_s  # dL/dq_k is the sum of t_q * x**k
-    dnum = (3.0 * p[3] * x + 2.0 * p[2]) * x + p[1]
-    dx = t_p * (dnum - y_s * (2.0 * q[2] * x + q[1]))
-    x2 = x * x
-    dp = [t_p.sum(-1), (t_p * x).sum(-1), (t_p * x2).sum(-1), (t_p * x2 * x).sum(-1)]
-    dq = [t_q.sum(-1), (t_q * x).sum(-1), (t_q * x2).sum(-1)]
-    return dx, np.stack(dp), np.stack(dq)
+    total = products[0] + 0.0
+    for v in products[1:]:
+        total += v
+    return total
+
+
+def _rational_backward(p, q, x, num, den_raw, den, upstream, need_dx=True):
+    """Backprop through y = P(x)/(|Q(x)| + guard) from its ``_rational`` tape entry.
+
+    ``p``, ``q`` and ``x`` are as for ``_rational_terms``, and ``upstream`` is
+    dL/dy.  Returns the gradients of p's four and then q's three coefficients,
+    summed over x's last axis, and dL/dx when ``need_dx`` (else None).  The
+    terms are overwritten.  The |Q| kink uses sign(0) = 0 as subgradient.
+    """
+    # dL/dp_k sums t_p * x**k and dL/dq_k sums t_q * x**k: seven rows, one sum
+    terms = np.empty((7, *x.shape))
+    t_p, t_q = terms[0], terms[4]
+    inv_den = np.divide(1.0, den, out=den)
+    np.multiply(upstream, inv_den, out=t_p)
+    y_s = np.multiply(num, np.sign(den_raw, out=den_raw), out=num)
+    y_s *= inv_den
+    np.negative(t_p, out=t_q)
+    t_q *= y_s
+    dx = None
+    if need_dx:
+        dx = 3.0 * p[3] * x
+        dx += 2.0 * p[2]
+        dx *= x
+        dx += p[1]  # P'(x)
+        dden = 2.0 * q[2] * x
+        dden += q[1]  # Q'(x)
+        dden *= y_s
+        dx -= dden
+        dx *= t_p
+    x2 = np.multiply(x, x, out=inv_den)
+    np.multiply(t_p, x, out=terms[1])
+    np.multiply(t_p, x2, out=terms[2])
+    np.multiply(terms[2], x, out=terms[3])
+    np.multiply(t_q, x, out=terms[5])
+    np.multiply(t_q, x2, out=terms[6])
+    return terms.sum(-1), dx
 
 
 def backward(params: NetParams, tape: list, d_weights) -> np.ndarray:
@@ -325,32 +379,34 @@ def backward(params: NetParams, tape: list, d_weights) -> np.ndarray:
     a, w = tape.pop()
     if len(w) > len(d_weights):  # a one-row batch ran twice; the copy adds zeros
         d_weights = np.concatenate([d_weights, np.zeros_like(d_weights)])
-    d_z = w * (d_weights - np.sum(d_weights * w, axis=1, keepdims=True))
+    d_z = _row_sum(d_weights[:, 0] * w[:, 0], d_weights[:, 1] * w[:, 1])
+    d_z = w * (d_weights - d_z[:, None])
     put(("head", "W"), d_z.T @ a)
-    put(("head", "b"), d_z.sum(axis=0))
+    # d_z.sum(axis=0)'s bits: both add the rows one by one from +0.0, but
+    # einsum without a call per row
+    put(("head", "b"), np.einsum("ij->j", d_z))
     d_a = d_z @ params.head_W
 
     for i, layer in reversed(list(enumerate(params.layers))):
-        a_in, z = tape.pop()
         # one rational shared by every entry of z
-        act = layer.act
-        d_z, dp, dq = _rational_backward(act.p, act.q, z.ravel(), d_a.ravel())
-        put(("layers", i, "act", "p"), dp)
-        put(("layers", i, "act", "q"), dq)
-        d_z = d_z.reshape(z.shape)
+        z, *terms = (v.ravel() for v in tape.pop())
+        d_coeffs, d_z = _rational_backward(layer.act.p, layer.act.q, z, *terms, d_a.ravel())
+        put(("layers", i, "act", "p"), d_coeffs[: _NUM_DEG + 1])
+        put(("layers", i, "act", "q"), d_coeffs[_NUM_DEG + 1 :])
+        d_z = d_z.reshape(d_a.shape)
+        a_in = tape.pop()
         put(("layers", i, "W"), d_z.T @ a_in)
-        put(("layers", i, "b"), d_z.sum(axis=0))
+        put(("layers", i, "b"), np.einsum("ij->j", d_z))
         d_a = d_z @ layer.W
 
     a, small, safe = tape.pop()
-    d_unit = d_a - a * np.sum(d_a * a, axis=1, keepdims=True)
-    d_alpha = np.where(small, 0.0, d_unit.T / safe)
+    alpha, d_alpha = a.T, d_a.T  # (4, n), as the deltas
+    d_alpha = d_alpha - alpha * _row_sum(*(d_alpha * alpha))
+    d_alpha /= safe
+    np.copyto(d_alpha, 0.0, where=small)
     # the four feature rationals in one call on the (4, n) deltas
-    deltas = tape.pop()
-    _, dp, dq = _rational_backward(params.feat_p, params.feat_q, deltas, d_alpha)
-    for j in range(FEATURE_COUNT):
-        put(("feat", j, "p"), dp[:, j])
-        put(("feat", j, "q"), dq[:, j])
+    d_coeffs, _ = _rational_backward(params.feat_p, params.feat_q, *tape.pop(), d_alpha, False)
+    _feature_coeffs(grad, params.arch)[:] = d_coeffs
     return grad
 
 

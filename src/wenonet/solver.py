@@ -86,6 +86,8 @@ class Problem:
             raise ValueError(f"unknown initial condition {self.init!r}")
         if (self.init == "riemann") != (self.riemann is not None):
             raise ValueError("riemann states (u_l, u_r) are given for init 'riemann' only")
+        if self.riemann is not None and len(self.riemann) != 2:
+            raise ValueError(f"riemann states {self.riemann} need two entries (u_l, u_r)")
         if self.riemann is not None and not all(map(math.isfinite, self.riemann)):
             raise ValueError(f"riemann states {self.riemann} must be finite")
         if not 0.0 < self.cfl <= 1.0:

@@ -2,6 +2,8 @@
 
 The loss is written once, on the network's output weights; its gradient with
 respect to them is handed to ``ratnet.backward``, which owns every layer.
+``train_model`` computes the loss's per-row constants once per run and
+gathers them with each batch.
 """
 
 from __future__ import annotations
@@ -130,29 +132,47 @@ def gamma(stencils):
     return np.minimum(num / den, 1.0)
 
 
-def _loss_terms(w, s, y, hyper: LossHyper):
+def _loss_consts(s, hyper: LossHyper):
+    """The interpolants and gamma**alpha of (n, 3) stencils, each row's from its own."""
+    i0, i1 = interpolants3(s[:, 0], s[:, 1], s[:, 2])
+    return i0, i1, np.power(gamma(s), hyper.alpha)
+
+
+def _loss_terms(w, y, consts, hyper: LossHyper):
     """L_r, L_d, and the gradient of ``L_r + beta_d * L_d`` with respect to ``w``.
 
-    ``w`` holds the network's pre-threshold weights (n, 2) on stencils ``s``
-    (n, 3) whose exact face values are ``y``.
+    ``w`` holds the network's pre-threshold weights (n, 2) on stencils whose
+    exact face values are ``y`` and whose ``_loss_consts`` are ``consts``.
     """
     n = len(y)
     if n == 0:
         raise ValueError("empty batch")
-    i0, i1 = interpolants3(s[:, 0], s[:, 1], s[:, 2])
-    resid = w[:, 0] * i0 + w[:, 1] * i1 - y
+    i0, i1, g = consts
+    w0, w1 = w[:, 0], w[:, 1]
+    resid = w0 * i0 + w1 * i1 - y
     if not np.all(np.isfinite(resid)):
         bad = int(np.argmin(np.isfinite(resid)))
         raise RuntimeError(f"non-finite loss contribution at sample {bad}")
 
-    g = np.power(gamma(s), hyper.alpha)
     loss_r = float(np.mean(g * resid**2))
-    dev = w - _IDEAL
-    loss_d = float(np.mean((1.0 - g) * np.sum(dev**2, axis=1)))
+    dev0, dev1 = w0 - _IDEAL[0], w1 - _IDEAL[1]
+    smooth = 1.0 - g
+    loss_d = float(np.mean(smooth * (dev0**2 + dev1**2)))  # np.sum's bits on a row of two
 
-    d_w = (2.0 / n) * (g * resid)[:, None] * np.stack([i0, i1], axis=1)
-    d_w += hyper.beta_d * (2.0 / n) * (1.0 - g)[:, None] * dev
-    return loss_r, loss_d, d_w
+    d_r = (2.0 / n) * (g * resid)
+    d_d = hyper.beta_d * (2.0 / n) * smooth
+    return loss_r, loss_d, np.column_stack([d_r * i0 + d_d * dev0, d_r * i1 + d_d * dev1])
+
+
+def _loss_and_grad(params: NetParams, s, y, consts, hyper: LossHyper):
+    """``loss_and_grad`` on a batch whose ``_loss_consts`` are ``consts``."""
+    tape = []
+    loss_r, loss_d, d_w = _loss_terms(forward(params, s, tape), y, consts, hyper)
+    loss_l2 = float(np.sum(params.theta**2))
+    loss = loss_r + hyper.beta_d * loss_d + hyper.beta_w * loss_l2
+    grad = backward(params, tape, d_w) + 2.0 * hyper.beta_w * params.theta
+    parts = {"loss_r": loss_r, "loss_d": loss_d, "loss_l2": loss_l2}
+    return loss, grad, parts
 
 
 def loss_and_grad(params: NetParams, stencils, targets, hyper: LossHyper):
@@ -162,21 +182,14 @@ def loss_and_grad(params: NetParams, stencils, targets, hyper: LossHyper):
     thresholding of inference bypassed, matching how the network trains.
     ``parts`` holds the unweighted L_r, L_d, and |theta|^2.
     """
-    s = np.asarray(stencils, dtype=float)
-    y = np.asarray(targets, dtype=float)
-    tape = []
-    loss_r, loss_d, d_w = _loss_terms(forward(params, s, tape), s, y, hyper)
-    loss_l2 = float(np.sum(params.theta**2))
-    loss = loss_r + hyper.beta_d * loss_d + hyper.beta_w * loss_l2
-    grad = backward(params, tape, d_w) + 2.0 * hyper.beta_w * params.theta
-    parts = {"loss_r": loss_r, "loss_d": loss_d, "loss_l2": loss_l2}
-    return loss, grad, parts
+    s, y = np.asarray(stencils, dtype=float), np.asarray(targets, dtype=float)
+    return _loss_and_grad(params, s, y, _loss_consts(s, hyper), hyper)
 
 
 def evaluate_losses(params: NetParams, dataset: Dataset, hyper: LossHyper):
     """Reconstruction and deviation losses over a whole dataset (forward pass only)."""
     s, y = dataset.ubar, dataset.target
-    loss_r, loss_d, _ = _loss_terms(forward(params, s), s, y, hyper)
+    loss_r, loss_d, _ = _loss_terms(forward(params, s), y, _loss_consts(s, hyper), hyper)
     return loss_r, loss_d
 
 
@@ -232,6 +245,8 @@ def train_model(
     bs = min(cfg.batch_size, n)
     order = shuffler.permutation(n)
     pos = 0
+    # every per-row input of the loss, gathered per batch
+    rows = (dataset.ubar, dataset.target, *_loss_consts(dataset.ubar, cfg.hyper))
     log = []
     skipped = 0
     for step in range(cfg.total_steps):
@@ -240,9 +255,8 @@ def train_model(
             pos = 0
         idx = order[pos : pos + bs]
         pos += bs
-        loss, grad, parts = loss_and_grad(
-            params, dataset.ubar[idx], dataset.target[idx], cfg.hyper
-        )
+        s, y, *consts = (np.take(v, idx, axis=0) for v in rows)
+        loss, grad, parts = _loss_and_grad(params, s, y, consts, cfg.hyper)
         if loss > 1e6:
             raise RuntimeError(f"training diverged at step {step}: loss={loss:.3g}")
         lr = lr_schedule(step, cfg)

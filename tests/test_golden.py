@@ -10,7 +10,8 @@ network's forward and backward passes were merged into ``ratnet``, the layout
 entries before ``NetParams`` became views of one flat vector, and the dataset,
 fingerprint and last three problems' entries before ``funcspace`` became the
 only owner of the closed forms (numpy 2.4.6, OpenBLAS); the whole file runs in
-seconds.
+seconds.  The short training run's theta and log hashes were recorded before
+``backward`` read each rational's terms from the tape.
 """
 
 import hashlib
@@ -119,6 +120,9 @@ def test_short_training_run():
     assert np.linalg.norm(theta - ref) <= 1e-12 * np.linalg.norm(ref)
     for name, order in GOLDEN["train_orders"].items():
         assert model.orders[name] == pytest.approx(order, abs=1e-10)
+    # every bit of theta and of the log
+    assert sha256(theta) == GOLDEN["train_sha256"]["theta"]
+    assert sha256(model.log) == GOLDEN["train_sha256"]["log"]
 
 
 @pytest.mark.parametrize("arch", ARCHS)

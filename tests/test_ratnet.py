@@ -182,6 +182,157 @@ def test_forward_column_arithmetic_matches_row_reductions():
         )
 
 
+def test_short_row_and_column_sums_keep_numpys_bits():
+    g = np.random.default_rng(7)
+    with np.errstate(all="ignore"):
+        for k in (2, 4):
+            for n in (1, 2, 5, 300, 2048):
+                x = g.normal(size=(n, k)) * 10.0 ** g.integers(-300, 300, size=(n, k))
+                x[g.random((n, k)) < 0.3] = 0.0
+                x[g.random((n, k)) < 0.3] = -0.0
+                x[: n // 10] = -0.0  # rows of -0.0 sum to +0.0
+                if n > 2:
+                    x[-1, 0], x[-2, -1] = np.inf, -np.inf
+                assert same_bits(rn._row_sum(*x.T), np.sum(x, axis=1))
+                # backward's bias sums
+                assert same_bits(np.einsum("ij->j", x), x.sum(axis=0))
+                x[x == 0.0] = -0.0
+                assert same_bits(np.einsum("ij->j", x[:3]), x[:3].sum(axis=0))
+
+
+def reference_rational_backward(p, q, x, upstream):
+    """``_rational_backward`` as it was before the tape kept each rational's terms.
+
+    It evaluates the terms again, and sums with numpy's reductions.
+    """
+    num, den_raw, den = rn._rational_terms(p, q, x)
+    inv_den = 1.0 / den
+    t_p = upstream * inv_den
+    y_s = num * np.sign(den_raw) * inv_den
+    t_q = -t_p * y_s
+    dnum = (3.0 * p[3] * x + 2.0 * p[2]) * x + p[1]
+    dx = t_p * (dnum - y_s * (2.0 * q[2] * x + q[1]))
+    x2 = x * x
+    dp = [t_p.sum(-1), (t_p * x).sum(-1), (t_p * x2).sum(-1), (t_p * x2 * x).sum(-1)]
+    dq = [t_q.sum(-1), (t_q * x).sum(-1), (t_q * x2).sum(-1)]
+    return dx, np.stack(dp), np.stack(dq)
+
+
+def reference_backward(params, stencils, d_weights):
+    """``forward``'s tape and ``backward`` as they were before the tape kept
+    each rational's terms: a row reference for the gradient.
+
+    The tape held the deltas, the normalization's output, mask and divisor,
+    each dense layer's input and pre-activation, and the head's input and
+    output; the softmax and normalization backward summed over rows with
+    ``np.sum(..., axis=1)`` and the biases with ``sum(axis=0)``.
+    """
+    rows = np.asarray(stencils, dtype=float).reshape(-1, 3)
+    deltas = rn._deltas(np.repeat(rows, 2, axis=0) if len(rows) == 1 else rows)
+    a, small, safe = rn._features(deltas, params.feat_p, params.feat_q)
+    tape = [deltas, (a, small, safe)]
+    for layer in params.layers:
+        z = a @ layer.W.T
+        z += layer.b
+        tape.append((a, z))
+        a = rn.rational_eval(layer.act, z)
+    z = a @ params.head_W.T
+    z += params.head_b
+    w = rn._softmax(z)
+    tape.append((a, w))
+
+    grad = np.zeros_like(params.theta)
+    at = rn._slices(params.arch)
+
+    def put(path, value):
+        grad[at[path]] = np.ravel(value)
+
+    a, w = tape.pop()
+    if len(w) > len(d_weights):
+        d_weights = np.concatenate([d_weights, np.zeros_like(d_weights)])
+    d_z = w * (d_weights - np.sum(d_weights * w, axis=1, keepdims=True))
+    put(("head", "W"), d_z.T @ a)
+    put(("head", "b"), d_z.sum(axis=0))
+    d_a = d_z @ params.head_W
+    for i, layer in reversed(list(enumerate(params.layers))):
+        a_in, z = tape.pop()
+        act = layer.act
+        d_z, dp, dq = reference_rational_backward(act.p, act.q, z.ravel(), d_a.ravel())
+        put(("layers", i, "act", "p"), dp)
+        put(("layers", i, "act", "q"), dq)
+        d_z = d_z.reshape(z.shape)
+        put(("layers", i, "W"), d_z.T @ a_in)
+        put(("layers", i, "b"), d_z.sum(axis=0))
+        d_a = d_z @ layer.W
+    a, small, safe = tape.pop()
+    d_unit = d_a - a * np.sum(d_a * a, axis=1, keepdims=True)
+    d_alpha = np.where(small, 0.0, d_unit.T / safe)
+    deltas = tape.pop()
+    _, dp, dq = reference_rational_backward(params.feat_p, params.feat_q, deltas, d_alpha)
+    for j in range(rn.FEATURE_COUNT):
+        put(("feat", j, "p"), dp[:, j])
+        put(("feat", j, "q"), dq[:, j])
+    return grad
+
+
+def tape_gradient(params, stencils, d_weights):
+    tape = []
+    rn.forward(params, stencils, tape)
+    return rn.backward(params, tape, d_weights)
+
+
+def same_gradient(a, b):
+    """Bit for bit, but any NaN matches any NaN: which NaN an operation on two
+    NaNs returns is the compiled loop's choice, and a non-finite gradient
+    step is skipped in training."""
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and same_bits(a[~nan], b[~nan])
+
+
+def upstream_for(g, n):
+    """Random output gradients with some +0.0 and -0.0 entries."""
+    d = g.normal(size=(n, 2))
+    d[g.random((n, 2)) < 0.1] = 0.0
+    d[g.random((n, 2)) < 0.1] = -0.0
+    return d
+
+
+def test_backward_keeps_the_reference_bits():
+    g = np.random.default_rng(6)
+    finite = adversarial_stencils()[:-3]  # the NaN, inf and 1e300 rows end the set
+    nets = [random_params(seed, noise=0.3) for seed in range(3)]
+    vanishing = random_params(3)
+    for c in vanishing.feat:
+        c.p[0] = 0.0  # tiny and constant rows then take the zero-norm branch
+    nets.append(vanishing)
+    flat = np.repeat(g.normal(size=(20, 1)) * 10.0 ** g.integers(-300, 300, size=(20, 1)), 3, 1)
+    cases = [finite, flat, finite[:1], flat[:1], np.concatenate([finite[::7], flat])]
+    with np.errstate(all="ignore"):
+        assert np.any(np.all(rn.rational_features(finite, vanishing.feat) == 0.0, axis=-1))
+        for params in nets:
+            for s in cases:
+                d_w = upstream_for(g, len(s))
+                assert same_gradient(tape_gradient(params, s, d_w), reference_backward(params, s, d_w))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    arch=st.sampled_from([(4,), (4, 4), (4, 4, 4), (4, 8, 4, 4)]),
+    n=st.integers(1, 300),
+    flat_share=st.sampled_from([0.0, 0.3, 1.0]),
+)
+def test_backward_keeps_the_reference_bits_on_random_networks(seed, arch, n, flat_share):
+    g = np.random.default_rng(seed)
+    params = rn.init_params(arch, np.random.default_rng(int(g.integers(0, 2**16))))
+    params.theta[:] += 0.3 * g.normal(size=params.theta.size)
+    s = g.normal(size=(n, 3)) * 10.0 ** g.integers(-300, 300, size=(n, 1))
+    s[g.random(n) < flat_share] = g.normal()
+    d_w = upstream_for(g, n)
+    with np.errstate(all="ignore"):
+        assert same_gradient(tape_gradient(params, s, d_w), reference_backward(params, s, d_w))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

@@ -27,6 +27,9 @@ def test_grid_and_problem_validation():
         sv.Problem("riemann")
     with pytest.raises(ValueError, match="riemann states"):
         sv.Problem("cosine", (1.0, 0.0))
+    for states in ((1.0,), (1.0, 0.0, 2.0)):
+        with pytest.raises(ValueError, match="riemann states .* two entries"):
+            sv.Problem("riemann", states)
     for bad in (float("nan"), float("inf"), -float("inf")):
         for states in ((bad, 0.0), (0.0, bad)):
             with pytest.raises(ValueError, match="must be finite"):

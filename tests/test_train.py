@@ -372,16 +372,16 @@ def test_run_sweep_validates_jobs():
 
 def test_train_skips_a_step_with_a_non_finite_gradient(monkeypatch):
     thetas = []
-    real = tr.loss_and_grad
+    real = tr._loss_and_grad
 
-    def loss_and_grad(params, stencils, targets, hyper):
+    def loss_and_grad(params, stencils, targets, consts, hyper):
         thetas.append(params.theta.copy())
-        loss, grad, parts = real(params, stencils, targets, hyper)
+        loss, grad, parts = real(params, stencils, targets, consts, hyper)
         if len(thetas) == 4:
             grad = np.where(np.arange(grad.size) == 5, np.nan, grad)
         return loss, grad, parts
 
-    monkeypatch.setattr(tr, "loss_and_grad", loss_and_grad)
+    monkeypatch.setattr(tr, "_loss_and_grad", loss_and_grad)
     cfg = tr.TrainConfig(total_steps=8, warmup_steps=0, batch_size=64, seed=2, peak_lr=1e-3)
     model = tr.train_model(small_dataset(), cfg, eval_grids=(16, 32))
     assert model.skipped_steps == 1
