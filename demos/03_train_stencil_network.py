@@ -24,7 +24,6 @@ print(f"training pairs: {len(dataset)}")
 cfg = tr.TrainConfig(
     peak_lr=1e-3,
     total_steps=4000,
-    warmup_steps=200,
     batch_size=1024,
     seed=1,
     hyper=tr.LossHyper(alpha=0.1, beta_d=0.3),

@@ -69,7 +69,7 @@ def adr(scheme, kappa_dx_list, nx: int = DEFAULT_ADR_NX) -> list[ADRPoint]:
     one SSP-RK3 step of size 1e-3*dx keeps temporal error far below the
     spatial fingerprint being measured.
     """
-    grid = GridSpec(nx, (0.0, 1.0), "periodic")
+    grid = GridSpec(nx)
     dx = grid.dx
     dt = ADR_DT_FRACTION * dx
     points = []

@@ -178,8 +178,6 @@ def cmd_gen_data(args) -> dict:
 def _train_configs(config: dict, args) -> tuple[list[train.TrainConfig], list[str]]:
     """Each model's ``TrainConfig`` and registry criterion, from ``configs`` or ``sweep``."""
     base = _section(config, RUN_KEYS, "", args)
-    total = base.setdefault("total_steps", train.TrainConfig.total_steps)
-    base.setdefault("warmup_steps", max(total // 20, 1))
     seed0 = base.pop("seed", 0)
     if "configs" in config:
         configs, criteria = [], []

@@ -44,20 +44,15 @@ DEFAULT_T = 5.0
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform 1D grid; ``bc`` is "periodic" or "dirichlet" with fixed edge values."""
+    """Uniform 1D grid: periodic, or Dirichlet with fixed edge ``bc_values=(left, right)``."""
 
     nx: int
     domain: tuple[float, float] = (0.0, 1.0)
-    bc: str = "periodic"
     bc_values: tuple[float, float] | None = None
 
     def __post_init__(self):
         if self.nx < 8:
             raise ValueError(f"nx={self.nx} too small (need nx >= 8)")
-        if self.bc not in ("periodic", "dirichlet"):
-            raise ValueError(f"unknown bc {self.bc!r}")
-        if self.bc == "dirichlet" and self.bc_values is None:
-            raise ValueError("dirichlet bc needs bc_values=(left, right)")
 
     @property
     def dx(self) -> float:
@@ -118,8 +113,8 @@ def burgers_riemann(
 def default_grid(problem: Problem, nx: int) -> GridSpec:
     """Canonical grid: advection on [0,1] periodic, Burgers on [-6,6] Dirichlet."""
     if problem.kind == "advection":
-        return GridSpec(nx, (0.0, 1.0), "periodic")
-    return GridSpec(nx, (-6.0, 6.0), "dirichlet", problem.riemann)
+        return GridSpec(nx, (0.0, 1.0))
+    return GridSpec(nx, (-6.0, 6.0), problem.riemann)
 
 
 @functools.lru_cache(maxsize=None)
@@ -135,12 +130,10 @@ def initial_averages(problem: Problem, grid: GridSpec) -> np.ndarray:
 
 
 def _extend(state: np.ndarray, grid: GridSpec, halo: int) -> np.ndarray:
-    if grid.bc == "periodic":
+    if grid.bc_values is None:
         return np.concatenate([state[-halo:], state, state[:halo]])
     left, right = grid.bc_values
-    return np.concatenate(
-        [np.full(halo, left), state, np.full(halo, right)]
-    )
+    return np.concatenate([np.full(halo, left), state, np.full(halo, right)])
 
 
 def face_states(state: np.ndarray, grid: GridSpec, scheme):
@@ -197,8 +190,11 @@ class SolveReport:
     times: np.ndarray
     l1_errors: np.ndarray
     final_state: np.ndarray
-    t_final: float
     wall_time: float = 0.0
+
+    @property
+    def t_final(self) -> float:
+        return float(self.times[-1])
 
     @property
     def final_error(self) -> float:
@@ -213,7 +209,7 @@ def run(problem: Problem, grid: GridSpec, scheme) -> SolveReport:
     u = initial_averages(problem, grid)
     t = 0.0
     times = [0.0]
-    errors = [l1_error(u, exact_cell_averages(problem, grid, 0.0), grid.dx)]
+    errors = [l1_error(u, u, grid.dx)]
     step = 0
     while t < problem.T - 1e-12:
         dt = problem.cfl * grid.dx / _max_wave_speed(u, problem.kind)
@@ -228,9 +224,7 @@ def run(problem: Problem, grid: GridSpec, scheme) -> SolveReport:
             )
         times.append(t)
         errors.append(l1_error(u, exact_cell_averages(problem, grid, t), grid.dx))
-    return SolveReport(
-        np.asarray(times), np.asarray(errors), u, t, time.perf_counter() - t0
-    )
+    return SolveReport(np.asarray(times), np.asarray(errors), u, time.perf_counter() - t0)
 
 
 def exact_solution(problem: Problem, x, t: float):

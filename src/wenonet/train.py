@@ -94,14 +94,18 @@ class LossHyper:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """One training run; ``warmup_steps`` defaults to ``max(total_steps // 20, 1)``."""
+
     peak_lr: float = 5e-4
-    warmup_steps: int = 1000
+    warmup_steps: int | None = None
     total_steps: int = 20000
     batch_size: int = 1024
     seed: int = 0
     hyper: LossHyper = LossHyper()
 
     def __post_init__(self):  # zero steps is allowed and returns the initialization
+        if self.warmup_steps is None:
+            object.__setattr__(self, "warmup_steps", max(self.total_steps // 20, 1))
         if min(self.total_steps, self.warmup_steps) < 0 or self.batch_size < 1:
             raise ValueError("step counts must be non-negative and batch_size >= 1")
         if not 0.0 <= self.peak_lr < math.inf:  # NaN fails the comparison too
@@ -227,12 +231,8 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, lr: float):
     return theta - lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS), AdamState(m, v, t)
 
 
-def train_model(
-    dataset: Dataset,
-    cfg: TrainConfig,
-    eval_grids: tuple[int, ...] = DEFAULT_NX_VALUES,
-) -> TrainedModel:
-    """Full Adam run over seeded mini-batches; metrics cover ``eval_grids``.
+def train_model(dataset: Dataset, cfg: TrainConfig) -> TrainedModel:
+    """Full Adam run over seeded mini-batches; orders are fitted on ``DEFAULT_NX_VALUES``.
 
     Initialization and shuffling use dedicated Philox streams derived from
     ``cfg.seed``, so reruns are bit-identical.  Adam updates ``params.theta``
@@ -267,7 +267,7 @@ def train_model(
         params.theta[:], state = adam_step(params.theta, grad, state, lr)
     log = np.asarray(log).reshape(-1, 6)  # (0, 6) after zero steps
     model = TrainedModel(params=params, config=cfg, log=log, skipped_steps=skipped)
-    model.orders = evaluate_orders(NNScheme(params), eval_grids)
+    model.orders = evaluate_orders(NNScheme(params))
     return model
 
 
@@ -277,6 +277,8 @@ def interpolation_error(scheme, spec: FunctionSpec, nx: int) -> float:
     Covers every face whose stencil lies fully inside the domain, so
     non-periodic functions need no boundary convention.
     """
+    if nx < scheme.width:
+        raise ValueError(f"nx={nx} too small for a {scheme.width}-cell stencil")
     u, _ = discretize(spec, nx)
     targets = face_targets(spec, nx)
     r = (scheme.width + 1) // 2
@@ -382,7 +384,7 @@ def sweep_grid(
     return configs
 
 
-#: (dataset, val_dataset, eval_grids) of the sweep a worker process serves.
+#: (dataset, val_dataset) of the sweep a worker process serves.
 _sweep_inputs: tuple = ()
 
 
@@ -394,8 +396,8 @@ def _init_sweep_worker(*inputs) -> None:
 
 def _train_one(cfg: TrainConfig, inputs: tuple = ()) -> TrainedModel:
     """Train one configuration on ``inputs``, or on the worker's sweep inputs."""
-    dataset, val_dataset, eval_grids = inputs or _sweep_inputs
-    model = train_model(dataset, cfg, eval_grids)
+    dataset, val_dataset = inputs or _sweep_inputs
+    model = train_model(dataset, cfg)
     if val_dataset is not None:
         model.recon_loss, model.dev_loss = evaluate_losses(
             model.params, val_dataset, cfg.hyper
@@ -408,7 +410,6 @@ def run_sweep(
     configs: list[TrainConfig],
     val_dataset: Dataset | None = None,
     jobs: int = 1,
-    eval_grids: tuple[int, ...] = DEFAULT_NX_VALUES,
 ) -> list[TrainedModel]:
     """Train every configuration; validation losses come from ``val_dataset``.
 
@@ -421,7 +422,7 @@ def run_sweep(
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    inputs = (dataset, val_dataset, eval_grids)
+    inputs = (dataset, val_dataset)
     workers = min(jobs, len(configs))
     if workers <= 1:
         models = [_train_one(cfg, inputs) for cfg in configs]

@@ -230,6 +230,18 @@ def test_train_manifest_records_resolved_settings(tmp_path):
     assert resolved["peak_lr"] == 2e-3 and resolved["seed"] == 4
     assert resolved["total_steps"] == 5 and resolved["batch_size"] == 32
     assert manifest["val"] == {"nx_values": [16], "pairs_per_grid": 32, "seed": 4 + 1000003}
+    # unless given, a model's warmup is its own total_steps // 20, at least 1
+    assert resolved["warmup_steps"] == 1
+    for name, doc, warmups in (
+        ("one", {"configs": [{"total_steps": 100}]}, [5]),
+        ("two", {"total_steps": 60, "configs": [{"total_steps": 100}, {}]}, [5, 3]),
+    ):
+        cfg.write_text(json.dumps({**doc, "batch_size": 32, "val": manifest["val"]}))
+        assert run_cli("train", "--dataset", str(data / "dataset.csv"), "--config", str(cfg),
+                       "--out", str(tmp_path / name)) == 0
+        text = (tmp_path / name / "train-manifest.txt").read_text()
+        configs = json.loads(text.split("\n", 1)[1])["configs"]
+        assert [c["warmup_steps"] for c in configs] == warmups
 
 
 def test_every_config_key_reaches_the_run(tmp_path):
@@ -378,6 +390,11 @@ def test_negative_end_time_or_repeated_grids_exit_2(tmp_path, capsys):
     assert run_cli("converge", "--problem", "recon-sin3", "--schemes", "weno3-js",
                    "--nx-list", "64,64,64", "--out", str(tmp_path / "c")) == 2
     assert "three distinct grid sizes" in capsys.readouterr().err
+    # a grid below the stencil width is named too
+    for nx in (0, 2):
+        assert run_cli("converge", "--problem", "recon-sin3", "--schemes", "weno3-js",
+                       "--nx-list", f"16,32,{nx}", "--out", str(tmp_path / "c")) == 2
+        assert f"nx={nx} too small for a 3-cell stencil" in capsys.readouterr().err
     assert not (tmp_path / "s").exists() and not (tmp_path / "c").exists()
 
 

@@ -162,7 +162,7 @@ def test_adam_determinism():
 def test_train_zero_steps_returns_initialization():
     ds = small_dataset()
     cfg = tr.TrainConfig(total_steps=0, seed=12)
-    model = tr.train_model(ds, cfg, eval_grids=(16, 32, 64))
+    model = tr.train_model(ds, cfg)
     init = rn.init_params(rng=fs.philox_rng(12, 2**63))
     assert np.array_equal(
         rn.params_to_vector(model.params), rn.params_to_vector(init)
@@ -172,15 +172,17 @@ def test_train_zero_steps_returns_initialization():
 def test_train_loss_decreases_and_is_deterministic():
     ds = small_dataset()
     cfg = tr.TrainConfig(
-        total_steps=400, warmup_steps=20, batch_size=256, seed=3, peak_lr=2e-3
+        total_steps=400, batch_size=256, seed=3, peak_lr=2e-3
     )
-    a = tr.train_model(ds, cfg, eval_grids=(16, 32, 64))
-    b = tr.train_model(ds, cfg, eval_grids=(16, 32, 64))
+    a = tr.train_model(ds, cfg)
+    b = tr.train_model(ds, cfg)
     assert np.array_equal(
         rn.params_to_vector(a.params), rn.params_to_vector(b.params)
     )
     assert a.log[-1, 2] < a.log[0, 2]
     assert a.log.shape == (400, 6)
+    # the orders, the registry's selection columns, are fitted on the selection grids
+    assert a.orders == tr.evaluate_orders(rn.NNScheme(a.params))
 
 
 def test_train_strong_deviation_weight_pins_ideal_weights():
@@ -189,13 +191,12 @@ def test_train_strong_deviation_weight_pins_ideal_weights():
     ds = small_dataset(seed=9)
     cfg = tr.TrainConfig(
         total_steps=1500,
-        warmup_steps=75,
         batch_size=512,
         seed=5,
         peak_lr=2e-3,
         hyper=tr.LossHyper(alpha=0.01, beta_d=1e4),
     )
-    model = tr.train_model(ds, cfg, eval_grids=(16, 32, 64))
+    model = tr.train_model(ds, cfg)
     smooth = np.array([[0.0, 0.001, 0.002], [1.0, 1.01, 1.02], [0.0, 0.0, 0.0]])
     w = rn.forward(model.params, smooth)
     assert np.max(np.abs(w - np.array(IDEAL_WEIGHTS3))) < 0.05
@@ -322,7 +323,7 @@ def test_run_sweep_populates_validation_losses():
         tr.TrainConfig(total_steps=50, warmup_steps=5, batch_size=128, seed=s)
         for s in (0, 1)
     ]
-    models = tr.run_sweep(ds, configs, val, eval_grids=(16, 32, 64))
+    models = tr.run_sweep(ds, configs, val)
     assert len(models) == 2
     assert all(np.isfinite(m.recon_loss) and np.isfinite(m.dev_loss) for m in models)
     assert all(set(m.orders) == {"sine_cubed", "sine_step"} for m in models)
@@ -335,8 +336,8 @@ def test_run_sweep_processes_keep_order_and_bits():
         tr.TrainConfig(total_steps=30, warmup_steps=3, batch_size=128, seed=s, peak_lr=lr)
         for s, lr in ((4, 2e-3), (7, 5e-4))
     ]
-    serial = tr.run_sweep(ds, configs, val, jobs=1, eval_grids=(16, 32))
-    forked = tr.run_sweep(ds, configs, val, jobs=2, eval_grids=(16, 32))
+    serial = tr.run_sweep(ds, configs, val, jobs=1)
+    forked = tr.run_sweep(ds, configs, val, jobs=2)
     for a, b, cfg in zip(serial, forked, configs):
         assert a.config is cfg and b.config is cfg
         assert rn.params_to_vector(a.params).tobytes() == rn.params_to_vector(b.params).tobytes()
@@ -358,7 +359,7 @@ def test_run_sweep_worker_errors_propagate_and_no_worker_outlives_it():
     messages = []
     for jobs in (1, 2):
         with pytest.raises(RuntimeError, match="non-finite loss contribution") as exc:
-            tr.run_sweep(bad, configs, jobs=jobs, eval_grids=(16, 32))
+            tr.run_sweep(bad, configs, jobs=jobs)
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
     assert multiprocessing.active_children() == []
@@ -383,7 +384,7 @@ def test_train_skips_a_step_with_a_non_finite_gradient(monkeypatch):
 
     monkeypatch.setattr(tr, "_loss_and_grad", loss_and_grad)
     cfg = tr.TrainConfig(total_steps=8, warmup_steps=0, batch_size=64, seed=2, peak_lr=1e-3)
-    model = tr.train_model(small_dataset(), cfg, eval_grids=(16, 32))
+    model = tr.train_model(small_dataset(), cfg)
     assert model.skipped_steps == 1
     after = thetas[1:] + [model.params.theta]
     assert [not np.array_equal(a, b) for a, b in zip(thetas, after)] == [True] * 3 + [False] + [True] * 4
@@ -397,6 +398,14 @@ def test_train_config_rejects_invalid_counts():
         with pytest.raises(ValueError):
             tr.TrainConfig(**bad)
     assert tr.TrainConfig(total_steps=0, warmup_steps=0).total_steps == 0
+
+
+def test_train_config_derives_its_warmup_unless_given():
+    assert tr.TrainConfig(total_steps=300).warmup_steps == 15
+    assert tr.TrainConfig().warmup_steps == 1000
+    assert tr.TrainConfig(total_steps=10).warmup_steps == 1  # at least one step
+    assert tr.TrainConfig(total_steps=300, warmup_steps=0).warmup_steps == 0
+    assert tr.TrainConfig(total_steps=300) == tr.TrainConfig(total_steps=300, warmup_steps=15)
 
 
 def test_train_config_rejects_negative_or_non_finite_peak_lr():
