@@ -234,7 +234,7 @@ def cmd_train(args) -> dict:
         "dataset": str(args.dataset),
         "n_models": len(models),
         "val": dataclasses.asdict(val_cfg),
-        "configs": [dataclasses.asdict(c) for c in configs],
+        "configs": [{**dataclasses.asdict(c), "warmup_steps": c.warmup} for c in configs],
     }
 
 

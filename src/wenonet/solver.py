@@ -1,16 +1,17 @@
 """1D finite-volume method-of-lines solver for linear advection and inviscid Burgers.
 
 State variables are exact cell averages.  Faces are reconstructed by a
-pluggable scheme object in one call per right-hand side: the minus-side
-(left-biased) stencils followed by the mirrored plus-side stencils.  Fluxes
-are upwind for advection and local Lax-Friedrichs for Burgers, and time
-stepping is three-stage SSP Runge-Kutta.
+pluggable scheme object in one call per right-hand side, on the faces the
+flux reads: the minus-side (left-biased) stencils for upwind advection, and
+for Burgers' local Lax-Friedrichs flux those followed by the mirrored
+plus-side stencils.  Time stepping is three-stage SSP Runge-Kutta.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -53,6 +54,12 @@ class GridSpec:
     def __post_init__(self):
         if self.nx < 8:
             raise ValueError(f"nx={self.nx} too small (need nx >= 8)")
+        bc = self.bc_values
+        if bc is not None and not (
+            isinstance(bc, (tuple, list)) and len(bc) == 2
+            and all(isinstance(v, numbers.Real) and math.isfinite(v) for v in bc)
+        ):
+            raise ValueError(f"bc_values={bc!r} must be None or two finite reals (left, right)")
 
     @property
     def dx(self) -> float:
@@ -136,24 +143,33 @@ def _extend(state: np.ndarray, grid: GridSpec, halo: int) -> np.ndarray:
     return np.concatenate([np.full(halo, left), state, np.full(halo, right)])
 
 
-def face_states(state: np.ndarray, grid: GridSpec, scheme):
-    """Minus/plus reconstructions at all nx+1 faces, from one ``face_value`` call.
+@functools.lru_cache(maxsize=64)
+def _stencil_index(nx: int, width: int, plus: bool) -> np.ndarray:
+    """Read-only ``(width, m)`` indices into the extended state: minus, then mirrored plus."""
+    k = np.arange(width)[:, None]
+    faces = np.arange(nx + 1)
+    idx = np.concatenate([faces + k, faces + width - k], axis=1) if plus else faces + k
+    idx.flags.writeable = False
+    return idx
+
+
+def face_states(state: np.ndarray, grid: GridSpec, scheme, plus: bool = True):
+    """Minus (and, with ``plus``, plus) reconstructions at all nx+1 faces, from one call.
 
     The minus side comes from the left-biased stencil; the plus side applies
     the same kernel to the mirrored right-biased stencil.  The scheme gets the
-    nx+1 minus stencils followed by the nx+1 mirrored plus stencils, built
-    column by column so that each stencil column is contiguous.  Ghost cells
-    wrap for periodic grids and repeat the boundary value for Dirichlet.
+    nx+1 minus stencils, followed with ``plus`` by the nx+1 mirrored plus
+    stencils, gathered column by column so that each stencil column is
+    contiguous; without ``plus`` the second value is None.  Ghost cells wrap
+    for periodic grids and repeat the boundary value for Dirichlet.
     """
     width = scheme.width
     if grid.nx < width:
         raise ValueError(f"nx={grid.nx} too small for a {width}-cell stencil")
     ext = _extend(state, grid, (width + 1) // 2)
-    cols = np.lib.stride_tricks.sliding_window_view(ext, width).T
-    stencils = np.concatenate([cols[:, :-1], cols[::-1, 1:]], axis=1).T
-    u = scheme.face_value(stencils)
+    u = scheme.face_value(ext[_stencil_index(grid.nx, width, plus)].T)
     n = grid.nx + 1
-    return u[:n], u[n:]
+    return u[:n], (u[n:] if plus else None)
 
 
 def numerical_flux(u_minus, u_plus, kind: str):
@@ -167,7 +183,8 @@ def numerical_flux(u_minus, u_plus, kind: str):
 
 
 def rhs(state: np.ndarray, grid: GridSpec, scheme, kind: str) -> np.ndarray:
-    u_minus, u_plus = face_states(state, grid, scheme)
+    # the upwind advection flux reads only the minus side
+    u_minus, u_plus = face_states(state, grid, scheme, plus=kind != "advection")
     flux = numerical_flux(u_minus, u_plus, kind)
     return -np.diff(flux) / grid.dx
 

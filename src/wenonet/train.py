@@ -94,7 +94,7 @@ class LossHyper:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """One training run; ``warmup_steps`` defaults to ``max(total_steps // 20, 1)``."""
+    """One training run; ``warmup`` derives the warmup when ``warmup_steps`` is None."""
 
     peak_lr: float = 5e-4
     warmup_steps: int | None = None
@@ -104,12 +104,15 @@ class TrainConfig:
     hyper: LossHyper = LossHyper()
 
     def __post_init__(self):  # zero steps is allowed and returns the initialization
-        if self.warmup_steps is None:
-            object.__setattr__(self, "warmup_steps", max(self.total_steps // 20, 1))
-        if min(self.total_steps, self.warmup_steps) < 0 or self.batch_size < 1:
+        if min(self.total_steps, self.warmup) < 0 or self.batch_size < 1:
             raise ValueError("step counts must be non-negative and batch_size >= 1")
         if not 0.0 <= self.peak_lr < math.inf:  # NaN fails the comparison too
             raise ValueError(f"peak_lr must be finite and non-negative, got {self.peak_lr}")
+
+    @property
+    def warmup(self) -> int:
+        """``warmup_steps``, or ``max(total_steps // 20, 1)`` when it is None."""
+        return max(self.total_steps // 20, 1) if self.warmup_steps is None else self.warmup_steps
 
 
 @dataclass
@@ -201,10 +204,11 @@ def lr_schedule(step: int, cfg: TrainConfig) -> float:
     """Linear warmup to the peak, then cosine decay to zero."""
     if not 0 <= step < cfg.total_steps:
         raise ValueError(f"step {step} outside [0, {cfg.total_steps})")
-    if cfg.warmup_steps > 0 and step < cfg.warmup_steps:
-        return cfg.peak_lr * step / cfg.warmup_steps
-    span = max(cfg.total_steps - cfg.warmup_steps, 1)
-    frac = (step - cfg.warmup_steps) / span
+    warmup = cfg.warmup
+    if warmup > 0 and step < warmup:
+        return cfg.peak_lr * step / warmup
+    span = max(cfg.total_steps - warmup, 1)
+    frac = (step - warmup) / span
     return cfg.peak_lr * 0.5 * (1.0 + float(np.cos(np.pi * frac)))
 
 

@@ -4,8 +4,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from wenonet import cli
 from wenonet import ratnet as rn
 from wenonet import solver as sv
 from wenonet.reconstruct import IdealWeights3, Quick, Weno3JS, Weno3Z, Weno5JS
@@ -44,6 +47,18 @@ def test_grid_and_problem_validation():
                           (sv.advection_cosine(T=0.1), sv.GridSpec(64, (0.0, 2.0)))):
         with pytest.raises(ValueError, match="default_grid"):
             sv.run(problem, grid, Weno3JS())
+
+
+def test_grid_checks_its_bc_values():
+    nan, inf = float("nan"), float("inf")
+    for bad in ((1.0,), (nan, 0.0), (0.0, inf), (-inf, 0.0), (1.0, 0.0, 2.0), (), 1.0, ("a", "b")):
+        with pytest.raises(ValueError, match="bc_values"):
+            sv.GridSpec(64, (0.0, 1.0), bad)
+    assert sv.GridSpec(64, (0.0, 1.0), (1, -2.5)).bc_values == (1, -2.5)
+    # every problem's default grid stays valid
+    for make in cli.PROBLEMS.values():
+        for nx in (8, 257):
+            sv.default_grid(make(1.0, 0.4), nx)
 
 
 def test_initial_averages_cosine():
@@ -150,21 +165,72 @@ def test_face_states_calls_the_scheme_once_on_contiguous_columns():
                 assert windows[:, j].flags.c_contiguous
             return windows[:, 0] + 10.0 * windows[:, -1]
 
-    grid = sv.GridSpec(12)
     u = np.arange(12.0) ** 2
-    for width in (3, 5):
-        scheme = Recorder(width)
-        um, up = sv.face_states(u, grid, scheme)
-        assert len(scheme.calls) == 1
-        (stencils,) = scheme.calls
-        assert stencils.shape == (2 * (grid.nx + 1), width)
-        ext = ghost_extended(u, grid, (width + 1) // 2)
-        windows = np.lib.stride_tricks.sliding_window_view(ext, width)
-        assert np.array_equal(stencils, np.concatenate([windows[:-1], windows[1:, ::-1]]))
-        assert np.array_equal(um, windows[:-1, 0] + 10.0 * windows[:-1, -1])
-        assert np.array_equal(up, windows[1:, -1] + 10.0 * windows[1:, 0])
-        sv.rhs(u, grid, scheme, "burgers")
-        assert len(scheme.calls) == 2
+    for grid in (sv.GridSpec(12), sv.GridSpec(12, (0.0, 1.0), (-3.0, 7.0))):
+        for width in (3, 5):
+            n = grid.nx + 1
+            scheme = Recorder(width)
+            um, up = sv.face_states(u, grid, scheme)
+            assert len(scheme.calls) == 1
+            (stencils,) = scheme.calls
+            assert stencils.shape == (2 * n, width)
+            ext = ghost_extended(u, grid, (width + 1) // 2)
+            windows = np.lib.stride_tricks.sliding_window_view(ext, width)
+            assert np.array_equal(stencils, np.concatenate([windows[:-1], windows[1:, ::-1]]))
+            assert np.array_equal(um, windows[:-1, 0] + 10.0 * windows[:-1, -1])
+            assert np.array_equal(up, windows[1:, -1] + 10.0 * windows[1:, 0])
+            # without the plus side the scheme gets the nx+1 minus stencils alone
+            um_only, none = sv.face_states(u, grid, scheme, plus=False)
+            assert none is None and um_only.tobytes() == um.tobytes()
+            assert np.array_equal(scheme.calls[-1], windows[:-1])
+            # the Lax-Friedrichs flux reads both sides, the upwind advection flux one
+            for kind, count in (("burgers", 2 * n), ("advection", n)):
+                sv.rhs(u, grid, scheme, kind)
+                assert scheme.calls[-1].shape == (count, width)
+            assert len(scheme.calls) == 4
+
+
+def test_stencil_index_is_cached_and_read_only():
+    for nx, width, plus in ((12, 3, False), (12, 3, True), (257, 5, True)):
+        idx = sv._stencil_index(nx, width, plus)
+        assert idx is sv._stencil_index(nx, width, plus)
+        assert idx.shape == (width, (1 + plus) * (nx + 1))
+        assert not idx.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            idx[0, 0] = 1
+
+
+SIX_SCHEMES = (Weno3JS(), Weno3Z(), Weno5JS(), Quick(), IdealWeights3(),
+               rn.NNScheme(rn.load_params(BENCH_WEIGHTS)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    nx=st.integers(8, 70),
+    dirichlet=st.booleans(),
+    flat_share=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+)
+def test_advection_rhs_is_the_divergence_of_the_two_sided_minus_faces(
+    seed, nx, dirichlet, flat_share
+):
+    """The one-sided advection rhs keeps the bits of the two-sided reconstruction.
+
+    Flat stretches (a cell equal to its left neighbour) make flat stencils, so
+    that ``nn_reconstruct`` takes its shared flat-row route in both calls.
+    """
+    g = np.random.default_rng(seed)
+    u = g.normal(size=nx) * 10.0 ** float(g.integers(-6, 6))
+    for i in np.flatnonzero(g.random(nx) < flat_share):
+        u[i] = u[i - 1]
+    bc = None
+    if dirichlet:  # the edge values may continue a flat stretch into the ghost cells
+        bc = tuple(float(v if g.random() < 0.5 else g.normal()) for v in (u[0], u[-1]))
+    grid = sv.GridSpec(nx, (0.0, float(g.uniform(0.5, 12.0))), bc)
+    for scheme in SIX_SCHEMES:
+        um, _ = sv.face_states(u, grid, scheme)
+        want = -np.diff(um) / grid.dx
+        assert sv.rhs(u, grid, scheme, "advection").tobytes() == want.tobytes(), scheme.name
 
 
 def test_face_states_rejects_wide_stencil_on_small_grid():

@@ -2,6 +2,7 @@
 
 import itertools
 import multiprocessing
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -401,11 +402,23 @@ def test_train_config_rejects_invalid_counts():
 
 
 def test_train_config_derives_its_warmup_unless_given():
-    assert tr.TrainConfig(total_steps=300).warmup_steps == 15
-    assert tr.TrainConfig().warmup_steps == 1000
-    assert tr.TrainConfig(total_steps=10).warmup_steps == 1  # at least one step
-    assert tr.TrainConfig(total_steps=300, warmup_steps=0).warmup_steps == 0
-    assert tr.TrainConfig(total_steps=300) == tr.TrainConfig(total_steps=300, warmup_steps=15)
+    assert tr.TrainConfig(total_steps=300).warmup == 15
+    assert tr.TrainConfig().warmup == 1000
+    assert tr.TrainConfig(total_steps=10).warmup == 1  # at least one step
+    assert tr.TrainConfig(total_steps=300, warmup_steps=0).warmup == 0
+    derived, given = tr.TrainConfig(total_steps=300), tr.TrainConfig(total_steps=300, warmup_steps=15)
+    assert derived.warmup_steps is None and given.warmup_steps == 15
+    assert [tr.lr_schedule(s, derived) for s in range(300)] == [
+        tr.lr_schedule(s, given) for s in range(300)]
+
+
+def test_train_config_replace_derives_the_warmup_of_the_new_total():
+    cfg = tr.TrainConfig(total_steps=300)
+    assert replace(cfg, total_steps=4000).warmup == 200
+    assert replace(cfg, peak_lr=1e-3).warmup == 15
+    # a given warmup is kept, 0 included
+    assert replace(tr.TrainConfig(total_steps=300, warmup_steps=0), total_steps=4000).warmup == 0
+    assert replace(cfg, warmup_steps=7, total_steps=4000).warmup == 7
 
 
 def test_train_config_rejects_negative_or_non_finite_peak_lr():
