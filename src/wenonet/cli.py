@@ -304,13 +304,7 @@ def cmd_adr(args) -> dict:
     schemes = [make_scheme(name) for name in args.schemes.split(",")]
     kappas = analysis.default_kappa_grid(args.modes)
     rows = [
-        {
-            "scheme": s.name,
-            "kappa_dx": p.kappa_dx,
-            "dispersion": p.dispersion,
-            "dissipation": p.dissipation,
-            "leakage": p.leakage,
-        }
+        {"scheme": s.name, **dataclasses.asdict(p)}
         for s in schemes
         for p in analysis.adr(s, kappas, args.nx)
     ]

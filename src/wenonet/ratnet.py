@@ -38,7 +38,6 @@ __all__ = [
     "C_ENO_DEFAULT",
     "DEFAULT_ARCH",
     "FEATURE_COUNT",
-    "rational_eval",
     "rational_features",
     "forward",
     "backward",
@@ -215,11 +214,6 @@ def _rational(p, q, x, tape=None):
         return num
     tape.append((x, num, den_raw, den))
     return num / den
-
-
-def rational_eval(c: RationalCoeffs, x):
-    """p(x) / (|q(x)| + guard); total for every finite input."""
-    return _rational(c.p, c.q, x)
 
 
 def _rows(stencils):
@@ -478,13 +472,11 @@ class NNScheme:
 
 
 def init_params(
-    arch: tuple[int, ...] = DEFAULT_ARCH, rng: np.random.Generator | None = None
+    arch: tuple[int, ...] = DEFAULT_ARCH, *, rng: np.random.Generator
 ) -> NetParams:
     """ReLU-approximant rationals everywhere, LeCun-normal dense weights, zero biases."""
     if arch[0] != FEATURE_COUNT:
         raise ValueError(f"first hidden width must be {FEATURE_COUNT}, got {arch[0]}")
-    if rng is None:
-        rng = np.random.default_rng(0)
     n = _slices(tuple(arch))["head", "b"].stop
     params = NetParams(np.zeros(n), arch)
     for r in params.feat + [layer.act for layer in params.layers]:

@@ -164,6 +164,8 @@ def face_states(state: np.ndarray, grid: GridSpec, scheme, plus: bool = True):
     for periodic grids and repeat the boundary value for Dirichlet.
     """
     width = scheme.width
+    if len(state) != grid.nx:
+        raise ValueError(f"state has {len(state)} cells, but the grid has nx={grid.nx}")
     if grid.nx < width:
         raise ValueError(f"nx={grid.nx} too small for a {width}-cell stencil")
     ext = _extend(state, grid, (width + 1) // 2)
@@ -176,6 +178,8 @@ def numerical_flux(u_minus, u_plus, kind: str):
     """Upwind flux for unit-speed advection; local Lax-Friedrichs for Burgers."""
     if kind == "advection":
         return np.asarray(u_minus, dtype=float)
+    if kind != "burgers":
+        raise ValueError(f"unknown equation {kind!r}; expected 'advection' or 'burgers'")
     fm = 0.5 * np.asarray(u_minus) ** 2
     fp = 0.5 * np.asarray(u_plus) ** 2
     a = np.maximum(np.abs(u_minus), np.abs(u_plus))

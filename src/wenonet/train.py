@@ -291,12 +291,12 @@ def interpolation_error(scheme, spec: FunctionSpec, nx: int) -> float:
     return float(np.sqrt(np.mean((rec - targets[r - 1 : nx - r + 1]) ** 2)))
 
 
-def evaluate_orders(scheme, nx_values: tuple[int, ...] = DEFAULT_NX_VALUES):
+def evaluate_orders(scheme):
     """Fitted interpolation orders on the two evaluation functions."""
     orders: dict[str, float] = {}
     for name in EVAL_FAMILIES:
         spec = eval_function(name)
-        errs = [(nx, interpolation_error(scheme, spec, nx)) for nx in nx_values]
+        errs = [(nx, interpolation_error(scheme, spec, nx)) for nx in DEFAULT_NX_VALUES]
         orders[name] = convergence_order(errs)
     return orders
 
@@ -388,19 +388,13 @@ def sweep_grid(
     return configs
 
 
-#: (dataset, val_dataset) of the sweep a worker process serves.
+#: (dataset, val_dataset) of the running sweep; forked workers inherit it.
 _sweep_inputs: tuple = ()
 
 
-def _init_sweep_worker(*inputs) -> None:
-    """Pool initializer: keep the sweep's inputs for every task of this worker."""
-    global _sweep_inputs
-    _sweep_inputs = inputs
-
-
-def _train_one(cfg: TrainConfig, inputs: tuple = ()) -> TrainedModel:
-    """Train one configuration on ``inputs``, or on the worker's sweep inputs."""
-    dataset, val_dataset = inputs or _sweep_inputs
+def _train_one(cfg: TrainConfig) -> TrainedModel:
+    """Train one configuration on the running sweep's inputs."""
+    dataset, val_dataset = _sweep_inputs
     model = train_model(dataset, cfg)
     if val_dataset is not None:
         model.recon_loss, model.dev_loss = evaluate_losses(
@@ -421,28 +415,30 @@ def run_sweep(
     processes, which inherit the datasets instead of receiving them with each
     task.  Every model has the same bits as with ``jobs=1``, and its
     ``config`` is the caller's object.  Every worker has exited on return.
-    A fork copies only the calling thread, so with ``jobs`` above 1 the
-    caller must run no other threads that could hold a lock.
+    The inputs sit in a module global during the sweep, so run one sweep at
+    a time; a fork copies only the calling thread, so with ``jobs`` above 1
+    the caller must run no other threads that could hold a lock.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    inputs = (dataset, val_dataset)
+    global _sweep_inputs
+    _sweep_inputs = (dataset, val_dataset)
     workers = min(jobs, len(configs))
-    if workers <= 1:
-        models = [_train_one(cfg, inputs) for cfg in configs]
-    else:
-        # imported here, since they add ~8 ms to importing the package
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    try:
+        if workers <= 1:
+            models = [_train_one(cfg) for cfg in configs]
+        else:
+            # imported here, since they add ~8 ms to importing the package
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
 
-        # fork: workers inherit the datasets, and callers need no __main__ guard
-        with ProcessPoolExecutor(
-            workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_init_sweep_worker,
-            initargs=inputs,
-        ) as pool:
-            models = list(pool.map(_train_one, configs))
+            # fork: workers inherit the datasets, and callers need no __main__ guard
+            with ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork")
+            ) as pool:
+                models = list(pool.map(_train_one, configs))
+    finally:
+        _sweep_inputs = ()
     for model, cfg in zip(models, configs):  # pickling copied the configs
         model.config = cfg
     return models

@@ -117,9 +117,10 @@ def test_short_training_run():
     ref = np.array(GOLDEN["train_theta"])
     assert np.linalg.norm(theta - ref) <= 1e-12 * np.linalg.norm(ref)
     # the recorded orders are fitted on three grids, not the selection grids
-    orders = tr.evaluate_orders(rn.NNScheme(model.params), (16, 32, 64))
+    scheme = rn.NNScheme(model.params)
     for name, order in GOLDEN["train_orders"].items():
-        assert orders[name] == pytest.approx(order, abs=1e-10)
+        row = an.convergence_study([scheme], fs.eval_function(name), (16, 32, 64))[0]
+        assert row.slope == pytest.approx(order, abs=1e-10)
     # every bit of theta and of the log
     assert sha256(theta) == GOLDEN["train_sha256"]["theta"]
     assert sha256(model.log) == GOLDEN["train_sha256"]["log"]
@@ -127,7 +128,7 @@ def test_short_training_run():
 
 @pytest.mark.parametrize("arch", ARCHS)
 def test_init_layout_bits(arch):
-    params = rn.init_params(arch, np.random.default_rng(0))
+    params = rn.init_params(arch, rng=np.random.default_rng(0))
     key = ",".join(map(str, arch))
     assert sha256(rn.params_to_vector(params)) == GOLDEN["layout"]["init_vector_sha256"][key]
     text = rn.params_to_json(params).encode()

@@ -22,21 +22,21 @@ def random_params(seed=0, noise=0.1):
     return rn.vector_to_params(vec)
 
 
-def test_rational_eval_examples():
+def test_rational_examples():
     ident = rn.RationalCoeffs([0, 1, 0, 0], [1, 0, 0])
-    assert rn.rational_eval(ident, 7.0) == pytest.approx(7.0, rel=1e-7)
+    assert rn._rational(ident.p, ident.q, 7.0) == pytest.approx(7.0, rel=1e-7)
     cubic = rn.RationalCoeffs([0, 0, 0, 1], [1, 0, 0])
-    assert rn.rational_eval(cubic, 2.0) == pytest.approx(8.0, rel=1e-7)
+    assert rn._rational(cubic.p, cubic.q, 2.0) == pytest.approx(8.0, rel=1e-7)
     recip = rn.RationalCoeffs([1, 0, 0, 0], [0, 0, 1])
-    assert rn.rational_eval(recip, 2.0) == pytest.approx(
+    assert rn._rational(recip.p, recip.q, 2.0) == pytest.approx(
         1.0 / (4.0 + rn.DENOM_GUARD), abs=1e-15
     )
 
 
-def test_rational_eval_is_total_at_denominator_roots():
+def test_rational_is_total_at_denominator_roots():
     c = rn.RationalCoeffs([1.0, 0, 0, 0], [0.0, 1.0, 0])  # q(x) = x, root at 0
-    assert np.isfinite(rn.rational_eval(c, 0.0))
-    assert rn.rational_eval(c, 0.0) == pytest.approx(1.0 / rn.DENOM_GUARD)
+    assert np.isfinite(rn._rational(c.p, c.q, 0.0))
+    assert rn._rational(c.p, c.q, 0.0) == pytest.approx(1.0 / rn.DENOM_GUARD)
 
 
 def test_delta_features_examples():
@@ -120,13 +120,13 @@ def row_reference(params, stencils):
         np.abs(up1 - um1),
         np.abs(up1 - 2.0 * u0 + um1),
     ]
-    alpha = np.stack([rn.rational_eval(c, d) for c, d in zip(params.feat, deltas)], -1)
+    alpha = np.stack([rn._rational(c.p, c.q, d) for c, d in zip(params.feat, deltas)], -1)
     norm = np.linalg.norm(alpha, axis=-1, keepdims=True)
     small = norm < 1e-14
     feats = np.where(small, 0.0, alpha / np.where(small, 1.0, norm))
     a = feats
     for layer in params.layers:
-        a = rn.rational_eval(layer.act, a @ layer.W.T + layer.b)
+        a = rn._rational(layer.act.p, layer.act.q, a @ layer.W.T + layer.b)
     z = a @ params.head_W.T + params.head_b
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     return feats, e / e.sum(axis=-1, keepdims=True)
@@ -235,7 +235,7 @@ def reference_backward(params, stencils, d_weights):
         z = a @ layer.W.T
         z += layer.b
         tape.append((a, z))
-        a = rn.rational_eval(layer.act, z)
+        a = rn._rational(layer.act.p, layer.act.q, z)
     z = a @ params.head_W.T
     z += params.head_b
     w = rn._softmax(z)
@@ -324,7 +324,7 @@ def test_backward_keeps_the_reference_bits():
 )
 def test_backward_keeps_the_reference_bits_on_random_networks(seed, arch, n, flat_share):
     g = np.random.default_rng(seed)
-    params = rn.init_params(arch, np.random.default_rng(int(g.integers(0, 2**16))))
+    params = rn.init_params(arch, rng=np.random.default_rng(int(g.integers(0, 2**16))))
     params.theta[:] += 0.3 * g.normal(size=params.theta.size)
     s = g.normal(size=(n, 3)) * 10.0 ** g.integers(-300, 300, size=(n, 1))
     s[g.random(n) < flat_share] = g.normal()
@@ -531,7 +531,7 @@ def test_relu_fit_quality():
     # the stored ReLU approximant every rational of init_params starts from
     c = rn.RationalCoeffs(rn.RELU_P, rn.RELU_Q)
     x = np.linspace(-3.0, 3.0, 4001)
-    assert np.max(np.abs(rn.rational_eval(c, x) - np.maximum(x, 0.0))) <= 0.0948
+    assert np.max(np.abs(rn._rational(c.p, c.q, x) - np.maximum(x, 0.0))) <= 0.0948
     q = (c.q[2] * x + c.q[1]) * x + c.q[0]
     assert np.min(np.abs(q)) >= 0.99  # no pole on the span
     params = rn.init_params(arch=(4, 8, 4), rng=np.random.default_rng(0))
@@ -576,7 +576,7 @@ def test_weight_file_walks_the_block_table():
 def test_init_rationals_near_relu():
     params = rn.init_params(rng=np.random.default_rng(1))
     for x, target in [(-1.0, 0.0), (0.0, 0.0), (1.0, 1.0)]:
-        assert abs(rn.rational_eval(params.feat[0], x) - target) <= 0.1
+        assert abs(rn._rational(params.feat[0].p, params.feat[0].q, x) - target) <= 0.1
 
 
 def test_init_lecun_variance():
@@ -595,6 +595,8 @@ def test_init_determinism():
     a = rn.init_params(rng=np.random.default_rng(17))
     b = rn.init_params(rng=np.random.default_rng(17))
     assert np.array_equal(rn.params_to_vector(a), rn.params_to_vector(b))
+    with pytest.raises(TypeError):  # no hidden default generator
+        rn.init_params()
 
 
 def test_init_rejects_wrong_feature_width():

@@ -245,10 +245,23 @@ def test_face_states_rejects_wide_stencil_on_small_grid():
         sv.face_states(np.ones(8), sv.GridSpec(8), Wide())
 
 
+def test_face_states_and_rhs_reject_a_state_of_another_length():
+    grid = sv.GridSpec(16)
+    for n in (15, 20):
+        with pytest.raises(ValueError, match=f"state has {n} cells, but the grid has nx=16"):
+            sv.face_states(np.ones(n), grid, Weno3JS())
+        with pytest.raises(ValueError, match=f"state has {n} cells"):
+            sv.rhs(np.ones(n), grid, Weno3JS(), "advection")
+
+
 def test_numerical_flux_examples():
     assert sv.numerical_flux(3.0, -7.0, "advection") == 3.0
     assert sv.numerical_flux(0.6, 0.6, "burgers") == pytest.approx(0.18)
     assert sv.numerical_flux(1.0, 0.0, "burgers") == pytest.approx(0.75)
+    with pytest.raises(ValueError, match="unknown equation 'advecton'"):
+        sv.numerical_flux(1.0, 0.0, "advecton")
+    with pytest.raises(ValueError, match="unknown equation 'advecton'"):
+        sv.rhs(np.ones(16), sv.GridSpec(16), Weno3JS(), "advecton")
 
 
 def test_rhs_constant_zero_and_conservation():

@@ -338,7 +338,9 @@ def test_run_sweep_processes_keep_order_and_bits():
         for s, lr in ((4, 2e-3), (7, 5e-4))
     ]
     serial = tr.run_sweep(ds, configs, val, jobs=1)
+    assert tr._sweep_inputs == ()
     forked = tr.run_sweep(ds, configs, val, jobs=2)
+    assert tr._sweep_inputs == ()  # the sweep lets go of its datasets
     for a, b, cfg in zip(serial, forked, configs):
         assert a.config is cfg and b.config is cfg
         assert rn.params_to_vector(a.params).tobytes() == rn.params_to_vector(b.params).tobytes()
@@ -362,6 +364,7 @@ def test_run_sweep_worker_errors_propagate_and_no_worker_outlives_it():
         with pytest.raises(RuntimeError, match="non-finite loss contribution") as exc:
             tr.run_sweep(bad, configs, jobs=jobs)
         messages.append(str(exc.value))
+        assert tr._sweep_inputs == ()
     assert messages[0] == messages[1]
     assert multiprocessing.active_children() == []
 
