@@ -227,7 +227,13 @@ class Dataset:
 
     @classmethod
     def load_csv(cls, path) -> "Dataset":
-        raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with open(path) as f:
+            header = f.readline().rstrip("\r\n")
+            if header != DATASET_HEADER:
+                raise ValueError(
+                    f"dataset file {path} line 1 is {header!r}, not the header {DATASET_HEADER}"
+                )
+            raw = np.loadtxt(f, delimiter=",", ndmin=2)
         if raw.shape[1] != 5:
             raise ValueError(f"dataset file {path} must have 5 columns")
         finite = np.isfinite(raw).all(axis=1)

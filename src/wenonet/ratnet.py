@@ -30,8 +30,6 @@ import numpy as np
 from .reconstruct import interpolants3
 
 __all__ = [
-    "RationalCoeffs",
-    "DenseLayer",
     "NetParams",
     "NNScheme",
     "DENOM_GUARD",
@@ -79,27 +77,6 @@ RELU_P = (0.0947149832446714, 0.5000000016244813, 0.46494289603641265, 0.1091420
 RELU_Q = (1.0, -1.2971478537744163e-08, 0.2182840705240141)
 
 
-@dataclass
-class RationalCoeffs:
-    """Coefficients of one (3,2) rational, ascending degree."""
-
-    p: np.ndarray  # (4,) numerator
-    q: np.ndarray  # (3,) denominator
-
-    def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=float)
-        self.q = np.asarray(self.q, dtype=float)
-        if self.p.shape != (_NUM_DEG + 1,) or self.q.shape != (_DEN_DEG + 1,):
-            raise ValueError("rational coefficients must have shapes (4,) and (3,)")
-
-
-@dataclass
-class DenseLayer:
-    W: np.ndarray  # (n_out, n_in)
-    b: np.ndarray  # (n_out,)
-    act: RationalCoeffs
-
-
 @functools.lru_cache(maxsize=None)
 def _blocks(arch: tuple[int, ...]) -> tuple:
     """The block table: (weight-file path, shape) of every block, in theta order."""
@@ -141,12 +118,12 @@ def _feature_coeffs(vec, arch):
 class NetParams:
     """Every learnable parameter of the network, stored once in ``theta``.
 
-    ``feat`` (one rational per delta feature), ``layers`` (the dense maps
-    between hidden layers; the features are the first, so ``len(layers) ==
-    len(arch) - 1``) and ``head_W``/``head_b`` are views of ``theta`` cut by
-    ``_blocks(arch)``, as are ``feat_p`` (4, 4, 1) and ``feat_q`` (3, 4, 1), the
-    feature coefficients stacked to broadcast on (4, n) deltas.  Write through
-    them (``params.head_W[:] = ...``): reassigning a view detaches it from ``theta``.
+    Each block has one view of ``theta``, cut by ``_blocks(arch)``: ``feat`` is
+    the four feature rationals' ``(p, q)``, (4, 4, 1) and (3, 4, 1), stacked to
+    broadcast on (4, n) deltas; ``layers`` holds one ``(W, b, p, q)`` per dense
+    map and its shared rational (the features are the first hidden layer, so
+    ``len(layers) == len(arch) - 1``); then ``head_W`` and ``head_b``.  Write
+    through them (``params.head_W[:] = ...``): reassigning a view detaches it.
     """
 
     theta: np.ndarray
@@ -159,21 +136,12 @@ class NetParams:
         at = _slices(arch)
         if theta.shape != (at["head", "b"].stop,):
             raise ValueError(f"vector length {theta.size} does not match arch {arch}")
-        v = {path: theta[at[path]].reshape(shape) for path, shape in _blocks(arch)}
-
-        def rational(*head):
-            return RationalCoeffs(v[(*head, "p")], v[(*head, "q")])
-
-        self.feat = [rational("feat", j) for j in range(FEATURE_COUNT)]
-        self.layers = [
-            DenseLayer(
-                v["layers", i, "W"], v["layers", i, "b"], rational("layers", i, "act")
-            )
-            for i in range(len(arch) - 1)
-        ]
-        self.head_W, self.head_b = v["head", "W"], v["head", "b"]
+        # after the features, the table holds each layer's W, b, p and q, then the head
+        v = [theta[at[path]].reshape(shape) for path, shape in _blocks(arch)[2 * FEATURE_COUNT :]]
+        self.layers = [tuple(v[k : k + 4]) for k in range(0, len(v) - 2, 4)]
+        self.head_W, self.head_b = v[-2:]
         feat = _feature_coeffs(theta, arch)
-        self.feat_p, self.feat_q = feat[: _NUM_DEG + 1, :, None], feat[_NUM_DEG + 1 :, :, None]
+        self.feat = feat[: _NUM_DEG + 1, :, None], feat[_NUM_DEG + 1 :, :, None]
 
     def __reduce__(self):  # pickle and deepcopy rebuild the views on the copy's theta
         return NetParams, (self.theta, self.arch, self.c_eno)
@@ -237,7 +205,7 @@ def _deltas(rows):
 def _features(deltas, p, q, tape=None):
     """Unit-normalized feature rationals of (4, n) ``deltas``.
 
-    ``p`` and ``q`` are stacked as ``NetParams.feat_p``/``feat_q``.  Returns the
+    ``p`` and ``q`` are stacked as the pair ``NetParams.feat``.  Returns the
     (n, 4) features (a view of the (4, n) result), and the zero-row mask and
     divisor.  The squares are summed in ``np.linalg.norm``'s order for a row
     of four, so its bits are kept.  ``tape`` is as for ``_rational``.
@@ -252,15 +220,14 @@ def _features(deltas, p, q, tape=None):
     return alpha.T, small, safe
 
 
-def rational_features(stencils, feat: list[RationalCoeffs]):
+def rational_features(stencils, feat):
     """Per-feature rationals applied to the deltas, then unit-normalized: (..., 4).
 
-    Rows whose pre-normalization Euclidean norm is below 1e-14 map to the
-    zero vector.
+    ``feat`` is a coefficient pair stacked as ``NetParams.feat``.  Rows whose
+    pre-normalization Euclidean norm is below 1e-14 map to the zero vector.
     """
     rows, lead = _rows(stencils)
-    p, q = (np.array([getattr(c, k) for c in feat]).T[..., None] for k in "pq")
-    return _features(_deltas(rows), p, q)[0].reshape(*lead, FEATURE_COUNT)
+    return _features(_deltas(rows), *feat)[0].reshape(*lead, FEATURE_COUNT)
 
 
 def _softmax(z):
@@ -290,15 +257,15 @@ def forward(params: NetParams, stencils, tape: list | None = None):
     """
     rows, lead = _rows(stencils)
     deltas = _deltas(np.repeat(rows, 2, axis=0) if len(rows) == 1 else rows)
-    a, small, safe = _features(deltas, params.feat_p, params.feat_q, tape)
+    a, small, safe = _features(deltas, *params.feat, tape)
     if tape is not None:
         tape.append((a, small, safe))
-    for layer in params.layers:
-        z = a @ layer.W.T
-        z += layer.b
+    for W, b, p, q in params.layers:
+        z = a @ W.T
+        z += b
         if tape is not None:
             tape.append(a)
-        a = _rational(layer.act.p, layer.act.q, z, tape)
+        a = _rational(p, q, z, tape)
     z = a @ params.head_W.T
     z += params.head_b
     w = _softmax(z)
@@ -381,17 +348,17 @@ def backward(params: NetParams, tape: list, d_weights) -> np.ndarray:
     put(("head", "b"), np.einsum("ij->j", d_z))
     d_a = d_z @ params.head_W
 
-    for i, layer in reversed(list(enumerate(params.layers))):
+    for i, (W, _, p, q) in reversed(list(enumerate(params.layers))):
         # one rational shared by every entry of z
         z, *terms = (v.ravel() for v in tape.pop())
-        d_coeffs, d_z = _rational_backward(layer.act.p, layer.act.q, z, *terms, d_a.ravel())
+        d_coeffs, d_z = _rational_backward(p, q, z, *terms, d_a.ravel())
         put(("layers", i, "act", "p"), d_coeffs[: _NUM_DEG + 1])
         put(("layers", i, "act", "q"), d_coeffs[_NUM_DEG + 1 :])
         d_z = d_z.reshape(d_a.shape)
         a_in = tape.pop()
         put(("layers", i, "W"), d_z.T @ a_in)
         put(("layers", i, "b"), np.einsum("ij->j", d_z))
-        d_a = d_z @ layer.W
+        d_a = d_z @ W
 
     a, small, safe = tape.pop()
     alpha, d_alpha = a.T, d_a.T  # (4, n), as the deltas
@@ -399,7 +366,7 @@ def backward(params: NetParams, tape: list, d_weights) -> np.ndarray:
     d_alpha /= safe
     np.copyto(d_alpha, 0.0, where=small)
     # the four feature rationals in one call on the (4, n) deltas
-    d_coeffs, _ = _rational_backward(params.feat_p, params.feat_q, *tape.pop(), d_alpha, False)
+    d_coeffs, _ = _rational_backward(*params.feat, *tape.pop(), d_alpha, False)
     _feature_coeffs(grad, params.arch)[:] = d_coeffs
     return grad
 
@@ -477,12 +444,13 @@ def init_params(
     """ReLU-approximant rationals everywhere, LeCun-normal dense weights, zero biases."""
     if arch[0] != FEATURE_COUNT:
         raise ValueError(f"first hidden width must be {FEATURE_COUNT}, got {arch[0]}")
-    n = _slices(tuple(arch))["head", "b"].stop
-    params = NetParams(np.zeros(n), arch)
-    for r in params.feat + [layer.act for layer in params.layers]:
-        r.p[:], r.q[:] = RELU_P, RELU_Q
-    for layer, n_in in zip(params.layers, arch):  # the rng draws each W, then the head
-        layer.W[:] = rng.normal(0.0, np.sqrt(1.0 / n_in), size=layer.W.shape)
+    at, relu = _slices(tuple(arch)), {"p": RELU_P, "q": RELU_Q}
+    theta = np.zeros(at["head", "b"].stop)
+    for path, s in at.items():  # every rational starts at RELU_P/RELU_Q, the rest at 0
+        theta[s] = relu.get(path[-1], 0.0)
+    params = NetParams(theta, arch)
+    for (W, *_), n_in in zip(params.layers, arch):  # the rng draws each W, then the head
+        W[:] = rng.normal(0.0, np.sqrt(1.0 / n_in), size=W.shape)
     params.head_W[:] = rng.normal(0.0, np.sqrt(1.0 / arch[-1]), size=(2, arch[-1]))
     return params
 
@@ -506,8 +474,8 @@ def count_flops(params: NetParams) -> int:
     n += FEATURE_COUNT * _RATIONAL_FLOPS
     # normalization: squares, sums, sqrt, divides
     n += FEATURE_COUNT + (FEATURE_COUNT - 1) + _EXP_FLOPS + FEATURE_COUNT
-    for layer in params.layers:
-        n_out, n_in = layer.W.shape
+    for W, *_ in params.layers:
+        n_out, n_in = W.shape
         n += n_out * 2 * n_in  # matvec multiplies and adds (bias included)
         n += n_out * _RATIONAL_FLOPS
     n += params.head_W.shape[0] * 2 * params.head_W.shape[1]
@@ -607,17 +575,23 @@ def params_from_json(text: str) -> NetParams:
 
 
 def _params_from_doc(doc) -> NetParams:
-    if _field(doc, "format_version") != WEIGHT_FORMAT_VERSION:
+    version = _field(doc, "format_version")
+    if type(version) is not int or version != WEIGHT_FORMAT_VERSION:
         raise ValueError(
             f"invalid weight file: field 'format_version' is "
-            f"{doc['format_version']!r}, expected {WEIGHT_FORMAT_VERSION}"
+            f"{version!r}, expected {WEIGHT_FORMAT_VERSION}"
         )
-    arch = tuple(int(n) for n in _field(doc, "arch"))
-    if len(arch) < 1 or arch[0] != FEATURE_COUNT:
-        raise ValueError(f"invalid weight file: field 'arch' {arch} is unsupported")
-    c_eno = float(_field(doc, "c_eno"))
-    if not 0.0 < c_eno < 0.5:
-        raise ValueError(f"invalid weight file: field 'c_eno' {c_eno} out of range")
+    arch = _field(doc, "arch")
+    # a JSON number is an int or a float, never a bool; an integral float counts
+    if not (isinstance(arch, list) and arch[:1] == [FEATURE_COUNT]
+            and all(type(n) in (int, float) and n % 1 == 0 for n in arch)):
+        raise ValueError(f"invalid weight file: field 'arch' {arch!r} is not a list "
+                         f"of integers starting with {FEATURE_COUNT}")
+    arch = tuple(int(n) for n in arch)
+    c_eno = _field(doc, "c_eno")
+    if not (type(c_eno) in (int, float) and 0.0 < c_eno < 0.5):
+        raise ValueError(f"invalid weight file: field 'c_eno' {c_eno!r} is not a number "
+                         "in (0, 0.5)")
     for name, n in (("feat", FEATURE_COUNT), ("layers", len(arch) - 1)):
         if len(_field(doc, name)) != n:
             raise ValueError(f"invalid weight file: field '{name}' needs {n} entries")

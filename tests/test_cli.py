@@ -194,6 +194,9 @@ def test_train_on_a_dataset_with_a_bad_row_exit_2(tmp_path, capsys):
                        "--out", str(tmp_path / "m"))
         assert code == 2, cells
         assert f"line {line} has" in capsys.readouterr().err
+    path.write_text("\n".join(good[1:]) + "\n")  # no header: the first row is not skipped
+    assert run_cli("train", "--dataset", str(path), "--steps", "5", "--out", str(tmp_path / "m")) == 2
+    assert f"line 1 is {good[1]!r}, not the header" in capsys.readouterr().err
     assert not (tmp_path / "m").exists()
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the analytical function families and dataset generation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,19 @@ def test_dataset_csv_rejects_a_bad_row_by_its_line(tmp_path, row, col, text, mes
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=message):
         fs.Dataset.load_csv(path)
+
+
+@pytest.mark.parametrize("first", ["", "a,b", "0.1,0.2,0.3,0.2,16"])
+def test_dataset_csv_rejects_a_file_without_the_header(tmp_path, first):
+    path = tmp_path / "dataset.csv"
+    fs.build_dataset(fs.DatasetConfig(nx_values=(16,), pairs_per_grid=16, seed=1)).save_csv(path)
+    rows = path.read_text().splitlines()[1:]
+    path.write_text("\n".join([first] + rows) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"dataset file {path} line 1 is {first!r}")):
+        fs.Dataset.load_csv(path)
+    # a header ended by CRLF is the header
+    path.write_text("\r\n".join([fs.DATASET_HEADER] + rows) + "\r\n")
+    assert len(fs.Dataset.load_csv(path).target) == len(rows)
 
 
 def test_philox_streams_are_independent_and_stable():

@@ -22,21 +22,24 @@ def random_params(seed=0, noise=0.1):
     return rn.vector_to_params(vec)
 
 
+def stacked(p, q):
+    """One rational for all four features, stacked as ``NetParams.feat``."""
+    return tuple(np.repeat(np.array(c, dtype=float)[:, None, None], 4, axis=1) for c in (p, q))
+
+
 def test_rational_examples():
-    ident = rn.RationalCoeffs([0, 1, 0, 0], [1, 0, 0])
-    assert rn._rational(ident.p, ident.q, 7.0) == pytest.approx(7.0, rel=1e-7)
-    cubic = rn.RationalCoeffs([0, 0, 0, 1], [1, 0, 0])
-    assert rn._rational(cubic.p, cubic.q, 2.0) == pytest.approx(8.0, rel=1e-7)
-    recip = rn.RationalCoeffs([1, 0, 0, 0], [0, 0, 1])
-    assert rn._rational(recip.p, recip.q, 2.0) == pytest.approx(
-        1.0 / (4.0 + rn.DENOM_GUARD), abs=1e-15
-    )
+    ident = np.array([0.0, 1, 0, 0]), np.array([1.0, 0, 0])
+    assert rn._rational(*ident, 7.0) == pytest.approx(7.0, rel=1e-7)
+    cubic = np.array([0.0, 0, 0, 1]), np.array([1.0, 0, 0])
+    assert rn._rational(*cubic, 2.0) == pytest.approx(8.0, rel=1e-7)
+    recip = np.array([1.0, 0, 0, 0]), np.array([0.0, 0, 1])
+    assert rn._rational(*recip, 2.0) == pytest.approx(1.0 / (4.0 + rn.DENOM_GUARD), abs=1e-15)
 
 
 def test_rational_is_total_at_denominator_roots():
-    c = rn.RationalCoeffs([1.0, 0, 0, 0], [0.0, 1.0, 0])  # q(x) = x, root at 0
-    assert np.isfinite(rn._rational(c.p, c.q, 0.0))
-    assert rn._rational(c.p, c.q, 0.0) == pytest.approx(1.0 / rn.DENOM_GUARD)
+    c = np.array([1.0, 0, 0, 0]), np.array([0.0, 1.0, 0])  # q(x) = x, root at 0
+    assert np.isfinite(rn._rational(*c, 0.0))
+    assert rn._rational(*c, 0.0) == pytest.approx(1.0 / rn.DENOM_GUARD)
 
 
 def test_delta_features_examples():
@@ -47,15 +50,14 @@ def test_delta_features_examples():
 
 
 def test_rational_features_identity_rationals():
-    ident = rn.RationalCoeffs([0, 1, 0, 0], [1, 0, 0])
-    feats = rn.rational_features([0.0, 1.0, 3.0], [ident] * 4)
+    feats = rn.rational_features([0.0, 1.0, 3.0], stacked([0, 1, 0, 0], [1, 0, 0]))
     assert np.allclose(feats, np.array([1, 2, 3, 1]) / np.sqrt(15.0), rtol=1e-6)
     assert np.linalg.norm(feats) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rational_features_zero_branch():
-    vanishing = rn.RationalCoeffs([0, 1, 1, 0], [1, 0, 0])  # p(0) = 0
-    feats = rn.rational_features([5.0, 5.0, 5.0], [vanishing] * 4)
+    vanishing = stacked([0, 1, 1, 0], [1, 0, 0])  # p(0) = 0
+    feats = rn.rational_features([5.0, 5.0, 5.0], vanishing)
     assert np.array_equal(feats, np.zeros(4))
 
 
@@ -120,13 +122,14 @@ def row_reference(params, stencils):
         np.abs(up1 - um1),
         np.abs(up1 - 2.0 * u0 + um1),
     ]
-    alpha = np.stack([rn._rational(c.p, c.q, d) for c, d in zip(params.feat, deltas)], -1)
+    p, q = params.feat
+    alpha = np.stack([rn._rational(p[:, j, 0], q[:, j, 0], d) for j, d in enumerate(deltas)], -1)
     norm = np.linalg.norm(alpha, axis=-1, keepdims=True)
     small = norm < 1e-14
     feats = np.where(small, 0.0, alpha / np.where(small, 1.0, norm))
     a = feats
-    for layer in params.layers:
-        a = rn._rational(layer.act.p, layer.act.q, a @ layer.W.T + layer.b)
+    for W, b, p, q in params.layers:
+        a = rn._rational(p, q, a @ W.T + b)
     z = a @ params.head_W.T + params.head_b
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     return feats, e / e.sum(axis=-1, keepdims=True)
@@ -155,8 +158,7 @@ def test_forward_column_arithmetic_matches_row_reductions():
     s = adversarial_stencils()
     nets = [random_params(seed, noise=0.3) for seed in range(3)]
     vanishing = random_params(3)
-    for c in vanishing.feat:
-        c.p[0] = 0.0  # tiny and constant rows then take the zero-norm branch
+    vanishing.feat[0][0] = 0.0  # tiny and constant rows then take the zero-norm branch
     nets.append(vanishing)
     with np.errstate(all="ignore"):
         for params in nets:
@@ -229,13 +231,13 @@ def reference_backward(params, stencils, d_weights):
     """
     rows = np.asarray(stencils, dtype=float).reshape(-1, 3)
     deltas = rn._deltas(np.repeat(rows, 2, axis=0) if len(rows) == 1 else rows)
-    a, small, safe = rn._features(deltas, params.feat_p, params.feat_q)
+    a, small, safe = rn._features(deltas, *params.feat)
     tape = [deltas, (a, small, safe)]
-    for layer in params.layers:
-        z = a @ layer.W.T
-        z += layer.b
+    for W, b, p, q in params.layers:
+        z = a @ W.T
+        z += b
         tape.append((a, z))
-        a = rn._rational(layer.act.p, layer.act.q, z)
+        a = rn._rational(p, q, z)
     z = a @ params.head_W.T
     z += params.head_b
     w = rn._softmax(z)
@@ -254,21 +256,20 @@ def reference_backward(params, stencils, d_weights):
     put(("head", "W"), d_z.T @ a)
     put(("head", "b"), d_z.sum(axis=0))
     d_a = d_z @ params.head_W
-    for i, layer in reversed(list(enumerate(params.layers))):
+    for i, (W, _, p, q) in reversed(list(enumerate(params.layers))):
         a_in, z = tape.pop()
-        act = layer.act
-        d_z, dp, dq = reference_rational_backward(act.p, act.q, z.ravel(), d_a.ravel())
+        d_z, dp, dq = reference_rational_backward(p, q, z.ravel(), d_a.ravel())
         put(("layers", i, "act", "p"), dp)
         put(("layers", i, "act", "q"), dq)
         d_z = d_z.reshape(z.shape)
         put(("layers", i, "W"), d_z.T @ a_in)
         put(("layers", i, "b"), d_z.sum(axis=0))
-        d_a = d_z @ layer.W
+        d_a = d_z @ W
     a, small, safe = tape.pop()
     d_unit = d_a - a * np.sum(d_a * a, axis=1, keepdims=True)
     d_alpha = np.where(small, 0.0, d_unit.T / safe)
     deltas = tape.pop()
-    _, dp, dq = reference_rational_backward(params.feat_p, params.feat_q, deltas, d_alpha)
+    _, dp, dq = reference_rational_backward(*params.feat, deltas, d_alpha)
     for j in range(rn.FEATURE_COUNT):
         put(("feat", j, "p"), dp[:, j])
         put(("feat", j, "q"), dq[:, j])
@@ -302,8 +303,7 @@ def test_backward_keeps_the_reference_bits():
     finite = adversarial_stencils()[:-3]  # the NaN, inf and 1e300 rows end the set
     nets = [random_params(seed, noise=0.3) for seed in range(3)]
     vanishing = random_params(3)
-    for c in vanishing.feat:
-        c.p[0] = 0.0  # tiny and constant rows then take the zero-norm branch
+    vanishing.feat[0][0] = 0.0  # tiny and constant rows then take the zero-norm branch
     nets.append(vanishing)
     flat = np.repeat(g.normal(size=(20, 1)) * 10.0 ** g.integers(-300, 300, size=(20, 1)), 3, 1)
     cases = [finite, flat, finite[:1], flat[:1], np.concatenate([finite[::7], flat])]
@@ -529,35 +529,44 @@ def test_flat_rows_change_no_other_row(seed, values, shift):
 
 def test_relu_fit_quality():
     # the stored ReLU approximant every rational of init_params starts from
-    c = rn.RationalCoeffs(rn.RELU_P, rn.RELU_Q)
+    p, q = np.array(rn.RELU_P), np.array(rn.RELU_Q)
     x = np.linspace(-3.0, 3.0, 4001)
-    assert np.max(np.abs(rn._rational(c.p, c.q, x) - np.maximum(x, 0.0))) <= 0.0948
-    q = (c.q[2] * x + c.q[1]) * x + c.q[0]
-    assert np.min(np.abs(q)) >= 0.99  # no pole on the span
+    assert np.max(np.abs(rn._rational(p, q, x) - np.maximum(x, 0.0))) <= 0.0948
+    den = (q[2] * x + q[1]) * x + q[0]
+    assert np.min(np.abs(den)) >= 0.99  # no pole on the span
     params = rn.init_params(arch=(4, 8, 4), rng=np.random.default_rng(0))
-    for r in params.feat + [layer.act for layer in params.layers]:
-        assert r.p.tobytes() == c.p.tobytes() and r.q.tobytes() == c.q.tobytes()
-    # every block is its own slice of theta: no two overlap, each lies in theta
-    blocks = [params.head_W, params.head_b]
-    for r in params.feat + [layer.act for layer in params.layers]:
-        blocks += [r.p, r.q]
-    for layer in params.layers:
-        blocks += [layer.W, layer.b]
-    for i, a in enumerate(blocks):
-        assert np.shares_memory(a, params.theta)
-        assert not any(np.shares_memory(a, b) for b in blocks[i + 1 :])
+    stack_p, stack_q = params.feat
+    rationals = [(stack_p[:, j, 0], stack_q[:, j, 0]) for j in range(4)]
+    for r_p, r_q in rationals + [layer[2:] for layer in params.layers]:
+        assert r_p.tobytes() == p.tobytes() and r_q.tobytes() == q.tobytes()
 
 
-def test_stacked_feature_coefficients_are_views_of_theta():
+def test_every_block_is_one_disjoint_view_of_theta():
     for arch in ((4,), (4, 4, 4), (4, 8, 3)):
         params = rn.init_params(arch, rng=np.random.default_rng(3))
         params.theta[:] = np.random.default_rng(4).normal(size=params.theta.size)  # as Adam writes
         for clone in (params, pickle.loads(pickle.dumps(params)), copy.deepcopy(params)):
-            p, q = clone.feat_p, clone.feat_q
+            p, q = clone.feat
             assert p.shape == (4, 4, 1) and q.shape == (3, 4, 1)
-            assert np.shares_memory(p, clone.theta) and np.shares_memory(q, clone.theta)
-            assert np.array_equal(p[..., 0], np.array([c.p for c in clone.feat]).T)
-            assert np.array_equal(q[..., 0], np.array([c.q for c in clone.feat]).T)
+            assert len(clone.layers) == len(arch) - 1
+            blocks = [p, q, *(v for layer in clone.layers for v in layer)]
+            blocks += [clone.head_W, clone.head_b]
+            # no two overlap, each lies in theta, and together they cover it
+            assert sum(b.size for b in blocks) == clone.theta.size
+            for i, a in enumerate(blocks):
+                assert np.shares_memory(a, clone.theta)
+                assert not any(np.shares_memory(a, b) for b in blocks[i + 1 :])
+            # each view holds its weight-file block
+            views = {("feat", j, k): c[:, j, 0] for j in range(4) for k, c in zip("pq", (p, q))}
+            for i, layer in enumerate(clone.layers):
+                keys = [("W",), ("b",), ("act", "p"), ("act", "q")]
+                views.update({("layers", i, *k): v for k, v in zip(keys, layer)})
+            views["head", "W"], views["head", "b"] = clone.head_W, clone.head_b
+            at = rn._slices(clone.arch)
+            assert list(views) == list(at)
+            for path, shape in rn._blocks(clone.arch):
+                assert views[path].shape == shape
+                assert np.array_equal(views[path].ravel(), clone.theta[at[path]])
 
 
 def test_weight_file_walks_the_block_table():
@@ -576,19 +585,20 @@ def test_weight_file_walks_the_block_table():
 def test_init_rationals_near_relu():
     params = rn.init_params(rng=np.random.default_rng(1))
     for x, target in [(-1.0, 0.0), (0.0, 0.0), (1.0, 1.0)]:
-        assert abs(rn._rational(params.feat[0].p, params.feat[0].q, x) - target) <= 0.1
+        p, q = params.feat
+        assert abs(rn._rational(p[:, 0, 0], q[:, 0, 0], x) - target) <= 0.1
 
 
 def test_init_lecun_variance():
     entries = []
     for seed in range(700):
         params = rn.init_params(rng=np.random.default_rng(seed))
-        entries.append(params.layers[0].W.ravel())
+        entries.append(params.layers[0][0].ravel())
     entries = np.concatenate(entries)  # 700 * 16 = 11200 draws, fan_in 4
     n = entries.size
     var = entries.var()
     assert abs(var - 0.25) <= 3.0 * 0.25 * np.sqrt(2.0 / n)
-    assert np.all(params.layers[0].b == 0.0)
+    assert np.all(params.layers[0][1] == 0.0)
 
 
 def test_init_determinism():
@@ -607,9 +617,9 @@ def test_init_rejects_wrong_feature_width():
 def test_count_params_conventions():
     params = rn.init_params(rng=np.random.default_rng(0))
     assert rn.count_params(params) == 92
-    assert params.feat[0].p.size + params.feat[0].q.size == 7
-    layer = params.layers[0]
-    assert layer.W.size + layer.b.size == 20
+    assert sum(c[:, 0].size for c in params.feat) == 7  # one feature's rational
+    W, b, *_ = params.layers[0]
+    assert W.size + b.size == 20
     shallow = rn.init_params(arch=(4, 4), rng=np.random.default_rng(0))
     assert rn.count_params(shallow) == 28 + 27 + 10
 
@@ -637,7 +647,7 @@ def test_vector_roundtrip():
 def test_vector_writes_through_and_never_aliases():
     params = random_params(7)
     before = rn.params_to_vector(params)
-    params.layers[0].W[1, 2] += 1.0  # a write through the layer form reaches the vector
+    params.layers[0][0][1, 2] += 1.0  # a write through a layer's W reaches the vector
     after = rn.params_to_vector(params)
     assert np.flatnonzero(after != before).size == 1
     vec = rn.params_to_vector(params)
@@ -687,6 +697,17 @@ def test_weight_file_validation_names_first_bad_field(tmp_path):
         rn.params_from_json(
             json.dumps(doc).replace("NaN", '"nan"').replace('"nan"', "NaN")
         )
+
+    # a string or fractions for arch, a string for c_eno, a bool for the version
+    for field, value in (("arch", "444"), ("arch", [4, 4.9, 4.2]), ("c_eno", "0.001"),
+                         ("format_version", True)):
+        doc = json.loads(text)
+        doc[field] = value
+        with pytest.raises(ValueError, match=f"field '{field}'"):
+            rn.params_from_json(json.dumps(doc))
+    doc = json.loads(text)
+    doc["arch"] = [4.0, 4, 4.0]  # integral floats are integers, as in a config file
+    assert rn.params_from_json(json.dumps(doc)).theta.tobytes() == params.theta.tobytes()
 
     with pytest.raises(ValueError, match="JSON"):
         rn.params_from_json("not json at all")

@@ -347,7 +347,7 @@ def test_run_sweep_processes_keep_order_and_bits():
         assert a.log.tobytes() == b.log.tobytes()
         assert (a.recon_loss, a.dev_loss, a.orders) == (b.recon_loss, b.dev_loss, b.orders)
         # the unpickled parameters are views of their own theta again
-        assert np.shares_memory(b.params.layers[0].W, b.params.theta)
+        assert np.shares_memory(b.params.layers[0][0], b.params.theta)
     assert serial[0].log.tobytes() != serial[1].log.tobytes()
 
 
