@@ -19,7 +19,7 @@ print("mean of sin(2 pi x) over [0, 1/2]:", fs.cell_average(spec, 0.0, 0.5))
 print("exact value 2/pi:                 ", 2.0 / np.pi)
 
 # Discretize on 16 cells: averages plus the exact face values.
-u, dx = fs.discretize(spec, 16)
+u = fs.discretize(spec, 16)
 targets = fs.face_targets(spec, 16)
 print("\ncell averages (first 4):", np.round(u[:4], 6))
 print("face targets  (first 4):", np.round(targets[:4], 6))

@@ -7,11 +7,11 @@ that blend them, and how the blend's accuracy shows up as a fitted slope on
 the two evaluation functions.
 """
 
-import numpy as np
+from itertools import groupby
 
+from wenonet import analysis as an
 from wenonet import funcspace as fs
 from wenonet import reconstruct as rc
-from wenonet import train as tr
 
 # A smooth stencil and a stencil with a jump between the last two cells.
 smooth = (0.0, 0.1, 0.2)
@@ -35,12 +35,11 @@ for name in ("sine_cubed", "sine_step"):
     spec = fs.eval_function(name)
     print(f"\nface-reconstruction RMSE on {name}:")
     print("scheme      " + "".join(f"{nx:>10d}" for nx in grids) + "   slope")
-    for scheme in schemes:
-        errs = [tr.interpolation_error(scheme, spec, nx) for nx in grids]
-        slope = tr.convergence_order(list(zip(grids, errs)))
-        print(f"{scheme.name:12s}"
-              + "".join(f"{e:10.2e}" for e in errs)
-              + f"  {slope:6.2f}")
+    for scheme, rows in groupby(an.convergence_study(schemes, spec, grids), lambda r: r.scheme):
+        rows = list(rows)  # one per grid, each carrying the scheme's fitted slope
+        print(f"{scheme:12s}"
+              + "".join(f"{r.error:10.2e}" for r in rows)
+              + f"  {rows[0].slope:6.2f}")
 
 # The ideal-weight scheme is third order on smooth data but useless at the
 # jump; the nonlinear weights keep the jump from poisoning the stencil.

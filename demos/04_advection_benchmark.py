@@ -9,11 +9,11 @@ comparison by exporting its weight file and using the ``nn:<path>`` scheme
 name (see the README pipeline).
 """
 
-import numpy as np
+from itertools import groupby
 
+from wenonet import analysis as an
 from wenonet import solver as sv
 from wenonet.reconstruct import IdealWeights3, Quick, Weno3JS, Weno3Z, Weno5JS
-from wenonet.train import convergence_order
 
 schemes = [Weno3JS(), Weno3Z(), Weno5JS(), Quick(), IdealWeights3()]
 
@@ -31,10 +31,8 @@ for scheme in schemes:
 # scheme into its pre-asymptotic regime.
 print("\nsigmoid pulse, refinement over nx = 64..512:")
 prob = sv.advection_sigmoid()
-for scheme in schemes:
-    errs = []
-    for nx in (64, 128, 256, 512):
-        errs.append((nx, sv.run(prob, sv.default_grid(prob, nx), scheme).final_error))
-    slope = convergence_order(errs)
-    cells = "  ".join(f"{e:.2e}" for _, e in errs)
-    print(f"  {scheme.name:10s} {cells}   slope {slope:.2f}")
+study = an.convergence_study(schemes, prob, (64, 128, 256, 512))
+for name, rows in groupby(study, lambda r: r.scheme):
+    rows = list(rows)  # one per grid, each carrying the scheme's fitted slope
+    cells = "  ".join(f"{r.error:.2e}" for r in rows)
+    print(f"  {name:10s} {cells}   slope {rows[0].slope:.2f}")

@@ -1,5 +1,8 @@
 """Convergence studies, dispersion-dissipation fingerprints, and CSV reports.
 
+``convergence_study`` is the one convergence-order estimator; model selection
+(``train.evaluate_orders``) and ``wenonet converge`` both read its slopes.
+
 The spectral analysis treats each (possibly nonlinear) scheme as a black box:
 evolve a single Fourier mode of the advection equation by one tiny step and
 read the modified wavenumber off the mode's complex amplitude ratio.
@@ -7,14 +10,14 @@ read the modified wavenumber off the mode's complex amplitude ratio.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .funcspace import FunctionSpec, discretize
+from .funcspace import FunctionSpec, discretize, face_targets
 from .solver import GridSpec, Problem, default_grid, rhs, run, ssp_rk3_step
-from .train import convergence_order, interpolation_error
 
 __all__ = [
     "ADRPoint",
@@ -22,6 +25,8 @@ __all__ = [
     "adr",
     "default_kappa_grid",
     "convergence_study",
+    "convergence_order",
+    "interpolation_error",
     "emit_report",
     "parse_report",
 ]
@@ -80,7 +85,7 @@ def adr(scheme, kappa_dx_list, nx: int = DEFAULT_ADR_NX) -> list[ADRPoint]:
             raise ValueError(
                 f"kappa*dx={kdx} is not an integer mode on nx={nx} cells"
             )
-        state, _ = discretize(FunctionSpec("sine", (2.0 * m,)), nx)
+        state = discretize(FunctionSpec("sine", (2.0 * m,)), nx)
         after = ssp_rk3_step(state, dt, lambda s: rhs(s, grid, scheme, "advection"))
         spec_before = np.fft.rfft(state)
         spec_after = np.fft.rfft(after)
@@ -93,6 +98,43 @@ def adr(scheme, kappa_dx_list, nx: int = DEFAULT_ADR_NX) -> list[ADRPoint]:
             ADRPoint(float(kdx), float(kprime_dx.real), float(kprime_dx.imag), leak)
         )
     return points
+
+
+def interpolation_error(scheme, spec: FunctionSpec, nx: int) -> float:
+    """Face-reconstruction RMSE against exact interface values.
+
+    Covers every face whose stencil lies fully inside the domain, so
+    non-periodic functions need no boundary convention.
+    """
+    if nx < scheme.width:
+        raise ValueError(f"nx={nx} too small for a {scheme.width}-cell stencil")
+    u = discretize(spec, nx)
+    targets = face_targets(spec, nx)
+    r = (scheme.width + 1) // 2
+    windows = np.lib.stride_tricks.sliding_window_view(u, scheme.width)
+    rec = scheme.face_value(windows)
+    return float(np.sqrt(np.mean((rec - targets[r - 1 : nx - r + 1]) ** 2)))
+
+
+def convergence_order(points) -> float:
+    """Least-squares slope of log(error) against log(dx), dx proportional to 1/nx.
+
+    Non-positive errors are excluded with a warning (constant scale factors in
+    dx shift the intercept only, never the slope); the rest must come from at
+    least two distinct grid sizes.
+    """
+    pts = [(int(nx), float(e)) for nx, e in points]
+    kept = [(nx, e) for nx, e in pts if e > 0.0]
+    if len(kept) < len(pts):
+        warnings.warn(
+            f"convergence_order: excluded {len(pts) - len(kept)} non-positive errors",
+            stacklevel=2,
+        )
+    if len({nx for nx, _ in kept}) < 2:
+        raise ValueError("need positive errors on two distinct grid sizes to fit a slope")
+    log_dx = np.log([1.0 / nx for nx, _ in kept])
+    log_e = np.log([e for _, e in kept])
+    return float(np.polyfit(log_dx, log_e, 1)[0])
 
 
 def convergence_study(schemes, target, nx_list) -> list[ConvergenceRow]:

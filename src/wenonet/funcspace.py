@@ -233,7 +233,11 @@ class Dataset:
                 raise ValueError(
                     f"dataset file {path} line 1 is {header!r}, not the header {DATASET_HEADER}"
                 )
-            raw = np.loadtxt(f, delimiter=",", ndmin=2)
+            lines = f.read().splitlines()
+        for i, line in enumerate(lines):  # loadtxt would skip it and shift every later row
+            if not line.split("#", 1)[0].strip():
+                raise ValueError(f"dataset file {path} line {i + 2} is blank or a comment")
+        raw = np.loadtxt(lines, delimiter=",", ndmin=2)
         if raw.shape[1] != 5:
             raise ValueError(f"dataset file {path} must have 5 columns")
         finite = np.isfinite(raw).all(axis=1)
@@ -276,13 +280,13 @@ def cell_average(spec: FunctionSpec, lo: float, hi: float) -> float:
     return spec.integral(lo, hi) / (hi - lo)
 
 
-def discretize(spec: FunctionSpec, nx: int) -> tuple[np.ndarray, float]:
+def discretize(spec: FunctionSpec, nx: int) -> np.ndarray:
     """Exact cell averages of ``spec`` on nx uniform cells over its domain."""
     a, b = spec.domain
     dx = (b - a) / nx
     edges = a + dx * np.arange(nx + 1)
     anti = spec.antiderivative(edges)
-    return np.diff(anti) / dx, dx
+    return np.diff(anti) / dx
 
 
 def face_targets(spec: FunctionSpec, nx: int) -> np.ndarray:
@@ -315,7 +319,7 @@ def build_dataset(cfg: DatasetConfig) -> Dataset:
             stream += 1
             fam = TRAIN_FAMILIES[rng.integers(len(TRAIN_FAMILIES))]
             spec = sample_function(fam, rng)
-            u, _ = discretize(spec, nx)
+            u = discretize(spec, nx)
             t = face_targets(spec, nx)
             s = np.stack([np.roll(u, 1), u, np.roll(u, -1)], axis=1)
             t = np.clip(t, s.min(axis=1), s.max(axis=1))

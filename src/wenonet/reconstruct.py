@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+#: Denominator guard of every WENO weight rule.
 EPS_DEFAULT = 1e-6
 
 #: Ideal third-order weights for the two 2-cell sub-stencils.
@@ -29,19 +30,19 @@ def smoothness3(um1, u0, up1):
     return (u0 - um1) ** 2, (u0 - up1) ** 2
 
 
-def weno3_js_weights(um1, u0, up1, eps=EPS_DEFAULT):
+def weno3_js_weights(um1, u0, up1):
     b0, b1 = smoothness3(um1, u0, up1)
-    a0 = IDEAL_WEIGHTS3[0] / (b0 + eps) ** 2
-    a1 = IDEAL_WEIGHTS3[1] / (b1 + eps) ** 2
+    a0 = IDEAL_WEIGHTS3[0] / (b0 + EPS_DEFAULT) ** 2
+    a1 = IDEAL_WEIGHTS3[1] / (b1 + EPS_DEFAULT) ** 2
     s = a0 + a1
     return a0 / s, a1 / s
 
 
-def weno3_z_weights(um1, u0, up1, eps=EPS_DEFAULT):
+def weno3_z_weights(um1, u0, up1):
     b0, b1 = smoothness3(um1, u0, up1)
     tau = np.abs(b0 - b1)
-    a0 = IDEAL_WEIGHTS3[0] * (1.0 + tau / (b0 + eps))
-    a1 = IDEAL_WEIGHTS3[1] * (1.0 + tau / (b1 + eps))
+    a0 = IDEAL_WEIGHTS3[0] * (1.0 + tau / (b0 + EPS_DEFAULT))
+    a1 = IDEAL_WEIGHTS3[1] * (1.0 + tau / (b1 + EPS_DEFAULT))
     s = a0 + a1
     return a0 / s, a1 / s
 
@@ -57,7 +58,7 @@ def quick(um1, u0, up1):
     return (3.0 * up1 + 6.0 * u0 - um1) / 8.0
 
 
-def weno5_js(um2, um1, u0, up1, up2, eps=EPS_DEFAULT):
+def weno5_js(um2, um1, u0, up1, up2):
     """Fifth-order WENO face value (Jiang-Shu smoothness indicators)."""
     q0 = (2.0 * um2 - 7.0 * um1 + 11.0 * u0) / 6.0
     q1 = (-um1 + 5.0 * u0 + 2.0 * up1) / 6.0
@@ -67,9 +68,9 @@ def weno5_js(um2, um1, u0, up1, up2, eps=EPS_DEFAULT):
     b1 = 13.0 / 12.0 * (um1 - 2.0 * u0 + up1) ** 2 + 0.25 * (um1 - up1) ** 2
     b2 = 13.0 / 12.0 * (u0 - 2.0 * up1 + up2) ** 2 + 0.25 * (3.0 * u0 - 4.0 * up1 + up2) ** 2
 
-    a0 = IDEAL_WEIGHTS5[0] / (b0 + eps) ** 2
-    a1 = IDEAL_WEIGHTS5[1] / (b1 + eps) ** 2
-    a2 = IDEAL_WEIGHTS5[2] / (b2 + eps) ** 2
+    a0 = IDEAL_WEIGHTS5[0] / (b0 + EPS_DEFAULT) ** 2
+    a1 = IDEAL_WEIGHTS5[1] / (b1 + EPS_DEFAULT) ** 2
+    a2 = IDEAL_WEIGHTS5[2] / (b2 + EPS_DEFAULT) ** 2
     s = a0 + a1 + a2
     return (a0 * q0 + a1 * q1 + a2 * q2) / s
 

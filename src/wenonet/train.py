@@ -9,21 +9,12 @@ gathers them with each batch.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .funcspace import (
-    DEFAULT_NX_VALUES,
-    EVAL_FAMILIES,
-    Dataset,
-    FunctionSpec,
-    discretize,
-    eval_function,
-    face_targets,
-    philox_rng,
-)
+from .analysis import convergence_study
+from .funcspace import DEFAULT_NX_VALUES, EVAL_FAMILIES, Dataset, eval_function, philox_rng
 from .ratnet import NetParams, NNScheme, backward, forward, init_params
 from .reconstruct import IDEAL_WEIGHTS3, interpolants3
 
@@ -42,9 +33,7 @@ __all__ = [
     "lr_schedule",
     "adam_step",
     "train_model",
-    "interpolation_error",
     "evaluate_orders",
-    "convergence_order",
     "selection_row",
     "select_index",
     "select_model",
@@ -275,51 +264,12 @@ def train_model(dataset: Dataset, cfg: TrainConfig) -> TrainedModel:
     return model
 
 
-def interpolation_error(scheme, spec: FunctionSpec, nx: int) -> float:
-    """Face-reconstruction RMSE against exact interface values.
-
-    Covers every face whose stencil lies fully inside the domain, so
-    non-periodic functions need no boundary convention.
-    """
-    if nx < scheme.width:
-        raise ValueError(f"nx={nx} too small for a {scheme.width}-cell stencil")
-    u, _ = discretize(spec, nx)
-    targets = face_targets(spec, nx)
-    r = (scheme.width + 1) // 2
-    windows = np.lib.stride_tricks.sliding_window_view(u, scheme.width)
-    rec = scheme.face_value(windows)
-    return float(np.sqrt(np.mean((rec - targets[r - 1 : nx - r + 1]) ** 2)))
-
-
 def evaluate_orders(scheme):
     """Fitted interpolation orders on the two evaluation functions."""
-    orders: dict[str, float] = {}
-    for name in EVAL_FAMILIES:
-        spec = eval_function(name)
-        errs = [(nx, interpolation_error(scheme, spec, nx)) for nx in DEFAULT_NX_VALUES]
-        orders[name] = convergence_order(errs)
-    return orders
-
-
-def convergence_order(points) -> float:
-    """Least-squares slope of log(error) against log(dx), dx proportional to 1/nx.
-
-    Non-positive errors are excluded with a warning (constant scale factors in
-    dx shift the intercept only, never the slope); the rest must come from at
-    least two distinct grid sizes.
-    """
-    pts = [(int(nx), float(e)) for nx, e in points]
-    kept = [(nx, e) for nx, e in pts if e > 0.0]
-    if len(kept) < len(pts):
-        warnings.warn(
-            f"convergence_order: excluded {len(pts) - len(kept)} non-positive errors",
-            stacklevel=2,
-        )
-    if len({nx for nx, _ in kept}) < 2:
-        raise ValueError("need positive errors on two distinct grid sizes to fit a slope")
-    log_dx = np.log([1.0 / nx for nx, _ in kept])
-    log_e = np.log([e for _, e in kept])
-    return float(np.polyfit(log_dx, log_e, 1)[0])
+    return {
+        name: convergence_study([scheme], eval_function(name), DEFAULT_NX_VALUES)[0].slope
+        for name in EVAL_FAMILIES
+    }
 
 
 def selection_row(model: TrainedModel) -> dict[str, float]:

@@ -77,11 +77,10 @@ def selected(sweep):
 
 
 def test_criterion_1_reconstruction_orders():
-    g = fs.eval_function("sine_cubed")
-    slopes = {}
-    for scheme in (Weno3JS(), IdealWeights3(), Weno5JS()):
-        errs = [(nx, tr.interpolation_error(scheme, g, nx)) for nx in GRIDS]
-        slopes[scheme.name] = tr.convergence_order(errs)
+    rows = an.convergence_study(
+        (Weno3JS(), IdealWeights3(), Weno5JS()), fs.eval_function("sine_cubed"), GRIDS
+    )
+    slopes = {r.scheme: r.slope for r in rows}
     ok = (
         1.8 <= slopes["weno3-js"] <= 3.2
         and slopes["ideal3"] >= 2.8
@@ -141,15 +140,11 @@ def test_criterion_3_advection_cosine(selected):
 def test_criterion_4_sigmoid_convergence(selected):
     nn_scheme, _ = selected
     prob = sv.advection_sigmoid(T=5.0, cfl=0.4)
-    nx_list = (64, 128, 256, 512)
-    slopes = {}
-    errs_64 = {}
-    for scheme in (Weno3JS(), Weno3Z(), Weno5JS(), nn_scheme):
-        errs = []
-        for nx in nx_list:
-            errs.append((nx, sv.run(prob, sv.default_grid(prob, nx), scheme).final_error))
-        slopes[scheme.name] = tr.convergence_order(errs)
-        errs_64[scheme.name] = errs[0][1]
+    rows = an.convergence_study(
+        (Weno3JS(), Weno3Z(), Weno5JS(), nn_scheme), prob, (64, 128, 256, 512)
+    )
+    slopes = {r.scheme: r.slope for r in rows}
+    errs_64 = {r.scheme: r.error for r in rows if r.nx == 64}
     ratio = errs_64["weno3-nn"] / errs_64["weno3-js"]
     in_band = {k: 1.2 <= v <= 2.0 for k, v in slopes.items()}
     ok = all(in_band.values()) and ratio <= 0.6

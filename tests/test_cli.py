@@ -538,6 +538,19 @@ def test_train_select_pipeline_small(tmp_path):
     assert code == 2
 
 
+def test_select_orders_are_the_converge_slopes_bit_for_bit(tmp_path):
+    code, models = _train_small(tmp_path, "--steps", "40")
+    assert code == 0
+    (registry,), _ = an.parse_report(models / "models.csv")
+    for problem, column in (("recon-sine-step", "order_h"), ("recon-sin3", "order_g")):
+        out = tmp_path / problem
+        assert run_cli("converge", "--problem", problem,
+                       "--schemes", f"nn:{models / 'model_000.json'}",
+                       "--nx-list", "16,32,64,128,256,512,1024", "--out", str(out)) == 0
+        rows, _ = an.parse_report(out / "convergence.csv")
+        assert {r["slope"] for r in rows} == {registry[column]}
+
+
 def test_select_on_missing_registry_exit_2(tmp_path, capsys):
     assert run_cli("select", "--registry", str(tmp_path / "no.csv"), "--criterion", "conv-sine-step") == 2
     registry = tmp_path / "models.csv"

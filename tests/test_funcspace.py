@@ -113,7 +113,8 @@ def test_eval_functions():
 )
 def test_partition_sums_telescope_to_exact_integral(spec):
     nx = 257
-    u, dx = fs.discretize(spec, nx)
+    u = fs.discretize(spec, nx)
+    dx = (spec.domain[1] - spec.domain[0]) / nx
     total = spec.integral(*spec.domain)
     assert np.sum(u) * dx == pytest.approx(total, rel=1e-12, abs=1e-13)
 
@@ -201,14 +202,21 @@ def test_dataset_csv_roundtrip(tmp_path):
     "row, col, text, message",
     [(3, 3, "nan", "line 5 has a non-finite value"),
      (0, 1, "-inf", "line 2 has a non-finite value"),
-     (7, 4, "16.7", "line 9 has non-integral nx 16.7")],
+     (7, 4, "16.7", "line 9 has non-integral nx 16.7"),
+     (2, None, "", "line 4 is blank or a comment"),
+     (2, None, "# note", "line 4 is blank or a comment")],
 )
 def test_dataset_csv_rejects_a_bad_row_by_its_line(tmp_path, row, col, text, message):
+    """A bad cell, or with ``col`` None a whole line, is named by its line in the file."""
     path = tmp_path / "dataset.csv"
     fs.build_dataset(fs.DatasetConfig(nx_values=(16,), pairs_per_grid=16, seed=1)).save_csv(path)
     lines = path.read_text().splitlines()
     cells = lines[row + 1].split(",")
-    cells[col] = text
+    if col is None:
+        cells = [text]
+        lines[8] = lines[8].rsplit(",", 1)[0] + ",16.7"  # the first bad line is named, not this one
+    else:
+        cells[col] = text
     lines[row + 1] = ",".join(cells)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=message):

@@ -41,7 +41,7 @@ def test_weno3_js_weights_examples():
     # hand evaluation with beta = (1, 4), eps = 1e-6
     a0 = (1.0 / 3.0) / (1.0 + 1e-6) ** 2
     a1 = (2.0 / 3.0) / (4.0 + 1e-6) ** 2
-    w0, w1 = rc.weno3_js_weights(0.0, 1.0, 3.0, eps=1e-6)
+    w0, w1 = rc.weno3_js_weights(0.0, 1.0, 3.0)
     assert w0 == pytest.approx(a0 / (a0 + a1), abs=1e-15)
     assert w0 == pytest.approx(0.88889, abs=1e-5)
     assert w1 == pytest.approx(0.11111, abs=1e-5)
@@ -52,7 +52,7 @@ def test_weno3_z_weights_examples():
         w0, w1 = rc.weno3_z_weights(*stencil)
         assert w0 == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert w1 == pytest.approx(2.0 / 3.0, abs=1e-12)
-    w0, w1 = rc.weno3_z_weights(0.0, 1.0, 3.0, eps=1e-6)
+    w0, w1 = rc.weno3_z_weights(0.0, 1.0, 3.0)
     a0 = (1.0 / 3.0) * (1.0 + 3.0 / (1.0 + 1e-6))
     a1 = (2.0 / 3.0) * (1.0 + 3.0 / (4.0 + 1e-6))
     assert w0 == pytest.approx(a0 / (a0 + a1), abs=1e-15)
@@ -132,10 +132,9 @@ def test_weno5_fifth_order_on_quartic():
 @pytest.mark.parametrize("rule", [rc.weno3_js_weights, rc.weno3_z_weights])
 def test_weight_convexity_across_eps(rule):
     s = rng.normal(scale=3.0, size=(500, 3))
-    for eps in (1e-12, 1e-9, 1e-6, 1e-2):
-        w0, w1 = rule(s[:, 0], s[:, 1], s[:, 2], eps=eps)
-        assert np.all(w0 >= 0.0) and np.all(w1 >= 0.0)
-        assert np.max(np.abs(w0 + w1 - 1.0)) < 1e-12
+    w0, w1 = rule(s[:, 0], s[:, 1], s[:, 2])
+    assert np.all(w0 >= 0.0) and np.all(w1 >= 0.0)
+    assert np.max(np.abs(w0 + w1 - 1.0)) < 1e-12
 
 
 @pytest.mark.parametrize("rule", [rc.weno3_js_weights, rc.weno3_z_weights])
@@ -225,9 +224,8 @@ def test_every_scheme_is_odd_and_stays_in_the_hull_of_its_interpolants(scheme, d
 
 
 def test_eno_behavior_at_step():
-    for eps in (1e-6, 1e-8, 1e-12):
-        w0, _ = rc.weno3_js_weights(0.0, 0.0, 1.0, eps=eps)
-        assert w0 >= 0.99
+    w0, _ = rc.weno3_js_weights(0.0, 0.0, 1.0)
+    assert w0 >= 0.99
 
 
 def test_scheme_objects_halo_and_vectorization():

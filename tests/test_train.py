@@ -1,4 +1,4 @@
-"""Unit tests for losses, gradients, the optimizer, and model selection."""
+"""Unit tests for losses, gradients, the optimizer, and model selection with its order estimator."""
 
 import itertools
 import multiprocessing
@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from wenonet import analysis as an
 from wenonet import funcspace as fs
 from wenonet import ratnet as rn
 from wenonet import train as tr
@@ -206,37 +207,37 @@ def test_train_strong_deviation_weight_pins_ideal_weights():
 def test_interpolation_error_examples():
     g = fs.eval_function("sine_cubed")
     quad = fs.FunctionSpec("polynomial", (0.2, -0.3, 0.5, 0.0))
-    assert tr.interpolation_error(IdealWeights3(), quad, 32) <= 1e-12
-    err_256 = tr.interpolation_error(Weno3JS(), g, 256)
-    err_512 = tr.interpolation_error(Weno3JS(), g, 512)
+    assert an.interpolation_error(IdealWeights3(), quad, 32) <= 1e-12
+    err_256 = an.interpolation_error(Weno3JS(), g, 256)
+    err_512 = an.interpolation_error(Weno3JS(), g, 512)
     assert err_512 < err_256
     const = fs.FunctionSpec("polynomial", (0.7, 0.0, 0.0, 0.0))
-    assert tr.interpolation_error(Weno3JS(), const, 64) <= 1e-12
+    assert an.interpolation_error(Weno3JS(), const, 64) <= 1e-12
 
 
 def test_convergence_order_examples():
     nxs = [32, 64, 128, 256]
     errs = [(nx, (1.0 / nx) ** 3) for nx in nxs]
-    assert tr.convergence_order(errs) == pytest.approx(3.0, abs=1e-12)
-    assert tr.convergence_order([(10, 1e-2), (20, 1.25e-3)]) == pytest.approx(3.0)
-    assert tr.convergence_order([(nx, 0.5) for nx in nxs]) == pytest.approx(0.0, abs=1e-12)
+    assert an.convergence_order(errs) == pytest.approx(3.0, abs=1e-12)
+    assert an.convergence_order([(10, 1e-2), (20, 1.25e-3)]) == pytest.approx(3.0)
+    assert an.convergence_order([(nx, 0.5) for nx in nxs]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_convergence_order_excludes_nonpositive_with_warning():
     with pytest.warns(UserWarning, match="excluded"):
-        slope = tr.convergence_order([(16, 1e-2), (32, 1.25e-3), (64, 0.0)])
+        slope = an.convergence_order([(16, 1e-2), (32, 1.25e-3), (64, 0.0)])
     assert slope == pytest.approx(3.0)
     with pytest.raises(ValueError):
-        tr.convergence_order([(16, 0.0), (32, 0.0), (64, 1.0)])
+        an.convergence_order([(16, 0.0), (32, 0.0), (64, 1.0)])
 
 
 def test_convergence_order_needs_two_distinct_grids():
     with pytest.raises(ValueError, match="distinct"):
-        tr.convergence_order([(64, 1e-2), (64, 2e-3), (64, 1e-3)])
+        an.convergence_order([(64, 1e-2), (64, 2e-3), (64, 1e-3)])
     # the excluded error was the only other grid size
     with pytest.warns(UserWarning, match="excluded"), pytest.raises(ValueError, match="distinct"):
-        tr.convergence_order([(16, 0.0), (32, 1e-2), (32, 5e-3)])
-    assert tr.convergence_order([(16, 8e-3), (32, 1e-3), (32, 1e-3)]) == pytest.approx(3.0)
+        an.convergence_order([(16, 0.0), (32, 1e-2), (32, 5e-3)])
+    assert an.convergence_order([(16, 8e-3), (32, 1e-3), (32, 1e-3)]) == pytest.approx(3.0)
 
 
 def make_model(order_g, order_h, recon, dev):
