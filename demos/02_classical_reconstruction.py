@@ -9,6 +9,8 @@ the two evaluation functions.
 
 from itertools import groupby
 
+import numpy as np
+
 from wenonet import analysis as an
 from wenonet import funcspace as fs
 from wenonet import reconstruct as rc
@@ -19,8 +21,8 @@ jumpy = (0.0, 0.0, 1.0)
 
 for label, s in [("smooth", smooth), ("jump", jumpy)]:
     i0, i1 = rc.interpolants3(*s)
-    w_js = rc.weno3_js_weights(*s)
-    w_z = rc.weno3_z_weights(*s)
+    w_js = rc.Weno3JS().weights(np.array(s))
+    w_z = rc.Weno3Z().weights(np.array(s))
     print(f"{label}: interpolants=({i0:.3f}, {i1:.3f})  "
           f"js weights=({w_js[0]:.4f}, {w_js[1]:.4f})  "
           f"z weights=({w_z[0]:.4f}, {w_z[1]:.4f})")

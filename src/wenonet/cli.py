@@ -60,6 +60,15 @@ def make_scheme(name: str):
     raise ValueError(f"unknown scheme {name!r}; valid schemes: {valid}")
 
 
+def _schemes(names: str) -> list:
+    """The schemes of a comma-separated list; a repeated scheme name is a ValueError."""
+    schemes = [make_scheme(name) for name in names.split(",")]
+    for i, s in enumerate(schemes):
+        if s.name in [t.name for t in schemes[:i]]:  # the report's rows would mix
+            raise ValueError(f"scheme name {s.name!r} appears twice in --schemes")
+    return schemes
+
+
 def _choice(name: str, valid, what: str) -> str:
     """``name`` if it is one of ``valid``, else a ValueError listing them."""
     if name not in valid:
@@ -281,7 +290,7 @@ def cmd_solve(args) -> dict:
 
 
 def cmd_converge(args) -> dict:
-    schemes = [make_scheme(name) for name in args.schemes.split(",")]
+    schemes = _schemes(args.schemes)
     _choice(args.problem, [*PROBLEMS, *RECON_TARGETS], "problem")
     if args.problem in RECON_TARGETS:
         target = eval_function(RECON_TARGETS[args.problem])
@@ -301,7 +310,7 @@ def cmd_converge(args) -> dict:
 
 
 def cmd_adr(args) -> dict:
-    schemes = [make_scheme(name) for name in args.schemes.split(",")]
+    schemes = _schemes(args.schemes)
     kappas = analysis.default_kappa_grid(args.modes)
     rows = [
         {"scheme": s.name, **dataclasses.asdict(p)}

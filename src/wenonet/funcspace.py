@@ -237,6 +237,8 @@ class Dataset:
         for i, line in enumerate(lines):  # loadtxt would skip it and shift every later row
             if not line.split("#", 1)[0].strip():
                 raise ValueError(f"dataset file {path} line {i + 2} is blank or a comment")
+        if not lines:
+            raise ValueError(f"dataset file {path} has no data rows")
         raw = np.loadtxt(lines, delimiter=",", ndmin=2)
         if raw.shape[1] != 5:
             raise ValueError(f"dataset file {path} must have 5 columns")
@@ -265,18 +267,14 @@ def eval_function(name: str) -> FunctionSpec:
     return FunctionSpec(name, ())
 
 
-def _check_interval(spec: FunctionSpec, lo: float, hi: float) -> None:
+def cell_average(spec: FunctionSpec, lo: float, hi: float) -> float:
+    """Exact mean of the function over [lo, hi] from the antiderivative."""
     a, b = spec.domain
     tol = 1e-12 * max(1.0, abs(a), abs(b))
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     if lo < a - tol or hi > b + tol:
         raise ValueError(f"interval [{lo}, {hi}] outside domain [{a}, {b}]")
-
-
-def cell_average(spec: FunctionSpec, lo: float, hi: float) -> float:
-    """Exact mean of the function over [lo, hi] from the antiderivative."""
-    _check_interval(spec, lo, hi)
     return spec.integral(lo, hi) / (hi - lo)
 
 

@@ -27,7 +27,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .reconstruct import interpolants3
+from .reconstruct import Scheme3, _windows
 
 __all__ = [
     "NetParams",
@@ -186,9 +186,7 @@ def _rational(p, q, x, tape=None):
 
 def _rows(stencils):
     """A (..., 3) stencil array as float (n, 3) rows, and its leading shape."""
-    s = np.asarray(stencils, dtype=float)
-    if s.shape[-1:] != (3,):
-        raise ValueError(f"stencils need a last axis of length 3, got shape {s.shape}")
+    s = _windows(stencils, 3)
     return s.reshape(-1, 3), s.shape[:-1]
 
 
@@ -400,42 +398,39 @@ def eno_filter(weights, c_eno: float = C_ENO_DEFAULT):
 
 
 def nn_reconstruct(params: NetParams, stencils):
-    """Inference-time face value: thresholded network weights on the interpolants.
-
-    ``stencils`` is any (..., 3) array, else ValueError; the result has its
-    leading shape, and each stencil's bits do not depend on that shape.  The
-    network sees only the deltas, so all flat stencils (four zero deltas)
-    share one output, and one ``forward`` call covers the others plus one
-    flat stencil.
-    """
-    rows, lead = _rows(stencils)
-    um1, u0, up1 = rows.T
-    # 2 * u0 overflows from 2**1023 on, so such a row's second difference is inf
-    flat = (um1 == u0) & (u0 == up1) & (np.abs(u0) < 2.0**1023)
-    if not flat.any():
-        w = forward(params, rows)
-        w0 = _eno_w0(w[:, 0], w[:, 1], params.c_eno)
-    else:
-        live = np.flatnonzero(~flat)
-        w = forward(params, rows[np.append(live, np.argmax(flat))])
-        w0_rows = _eno_w0(w[:, 0], w[:, 1], params.c_eno)
-        w0 = np.full(len(rows), w0_rows[-1])
-        w0[live] = w0_rows[:-1]
-    i0, i1 = interpolants3(um1, u0, up1)
-    return (w0 * i0 + (1.0 - w0) * i1).reshape(lead)
+    """Inference-time face value: ``NNScheme(params).face_value(stencils)``."""
+    return NNScheme(params).face_value(stencils)
 
 
-class NNScheme:
-    """Adapter giving trained parameters the classical-scheme interface."""
-
-    width = 3
+class NNScheme(Scheme3):
+    """Trained parameters as a three-cell weight rule."""
 
     def __init__(self, params: NetParams, name: str = "weno3-nn"):
         self.params = params
         self.name = name
 
-    def face_value(self, windows):
-        return nn_reconstruct(self.params, windows)
+    def weights(self, windows):
+        """Filtered network weights ``(w0, 1 - w0)`` of (..., 3) windows, in their leading shape.
+
+        A stencil's bits do not depend on that shape.  The network sees only
+        the deltas, so all flat stencils (four zero deltas) share one output,
+        and one ``forward`` call covers the others plus one flat stencil.
+        """
+        rows, lead = _rows(windows)
+        um1, u0, up1 = rows.T
+        # 2 * u0 overflows from 2**1023 on, so such a row's second difference is inf
+        flat = (um1 == u0) & (u0 == up1) & (np.abs(u0) < 2.0**1023)
+        if not flat.any():
+            w = forward(self.params, rows)
+            w0 = _eno_w0(w[:, 0], w[:, 1], self.params.c_eno)
+        else:
+            live = np.flatnonzero(~flat)
+            w = forward(self.params, rows[np.append(live, np.argmax(flat))])
+            w0_rows = _eno_w0(w[:, 0], w[:, 1], self.params.c_eno)
+            w0 = np.full(len(rows), w0_rows[-1])
+            w0[live] = w0_rows[:-1]
+        w0 = w0.reshape(lead)
+        return w0, 1.0 - w0
 
 
 def init_params(

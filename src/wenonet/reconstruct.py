@@ -30,29 +30,6 @@ def smoothness3(um1, u0, up1):
     return (u0 - um1) ** 2, (u0 - up1) ** 2
 
 
-def weno3_js_weights(um1, u0, up1):
-    b0, b1 = smoothness3(um1, u0, up1)
-    a0 = IDEAL_WEIGHTS3[0] / (b0 + EPS_DEFAULT) ** 2
-    a1 = IDEAL_WEIGHTS3[1] / (b1 + EPS_DEFAULT) ** 2
-    s = a0 + a1
-    return a0 / s, a1 / s
-
-
-def weno3_z_weights(um1, u0, up1):
-    b0, b1 = smoothness3(um1, u0, up1)
-    tau = np.abs(b0 - b1)
-    a0 = IDEAL_WEIGHTS3[0] * (1.0 + tau / (b0 + EPS_DEFAULT))
-    a1 = IDEAL_WEIGHTS3[1] * (1.0 + tau / (b1 + EPS_DEFAULT))
-    s = a0 + a1
-    return a0 / s, a1 / s
-
-
-def reconstruct_minus(um1, u0, up1, w0, w1):
-    """Convex combination of the sub-stencil interpolants."""
-    i0, i1 = interpolants3(um1, u0, up1)
-    return w0 * i0 + w1 * i1
-
-
 def quick(um1, u0, up1):
     """QUICK face value in upwind cell-average form."""
     return (3.0 * up1 + 6.0 * u0 - um1) / 8.0
@@ -75,50 +52,71 @@ def weno5_js(um2, um1, u0, up1, up2):
     return (a0 * q0 + a1 * q1 + a2 * q2) / s
 
 
-class _Scheme3:
-    """Base for 3-cell schemes; subclasses supply the weight rule."""
+def _windows(windows, width: int) -> np.ndarray:
+    """``windows`` as a float array, else ValueError if its last axis is not ``width``."""
+    w = np.asarray(windows, dtype=float)
+    if w.shape[-1:] != (width,):
+        raise ValueError(f"stencils need a last axis of length {width}, got shape {w.shape}")
+    return w
+
+
+class Scheme3:
+    """A three-cell scheme: ``face_value`` blends the two interpolants by ``weights``.
+
+    A subclass defines ``name`` and ``weights(windows)``: from the float (..., 3)
+    windows, ``(w0, w1)`` as scalars or arrays of the windows' leading shape.
+    """
 
     width = 3
 
-    def _cols(self, windows):
-        w = np.asarray(windows, dtype=float)
-        return w[..., 0], w[..., 1], w[..., 2]
+    def face_value(self, windows):
+        s = _windows(windows, 3)
+        w0, w1 = self.weights(s)
+        i0, i1 = interpolants3(s[..., 0], s[..., 1], s[..., 2])
+        return w0 * i0 + w1 * i1
 
 
-class Weno3JS(_Scheme3):
+class Weno3JS(Scheme3):
     name = "weno3-js"
 
-    def face_value(self, windows):
-        um1, u0, up1 = self._cols(windows)
-        w0, w1 = weno3_js_weights(um1, u0, up1)
-        return reconstruct_minus(um1, u0, up1, w0, w1)
+    def weights(self, windows):
+        b0, b1 = smoothness3(windows[..., 0], windows[..., 1], windows[..., 2])
+        a0 = IDEAL_WEIGHTS3[0] / (b0 + EPS_DEFAULT) ** 2
+        a1 = IDEAL_WEIGHTS3[1] / (b1 + EPS_DEFAULT) ** 2
+        s = a0 + a1
+        return a0 / s, a1 / s
 
 
-class Weno3Z(_Scheme3):
+class Weno3Z(Scheme3):
     name = "weno3-z"
 
-    def face_value(self, windows):
-        um1, u0, up1 = self._cols(windows)
-        w0, w1 = weno3_z_weights(um1, u0, up1)
-        return reconstruct_minus(um1, u0, up1, w0, w1)
+    def weights(self, windows):
+        b0, b1 = smoothness3(windows[..., 0], windows[..., 1], windows[..., 2])
+        tau = np.abs(b0 - b1)
+        a0 = IDEAL_WEIGHTS3[0] * (1.0 + tau / (b0 + EPS_DEFAULT))
+        a1 = IDEAL_WEIGHTS3[1] * (1.0 + tau / (b1 + EPS_DEFAULT))
+        s = a0 + a1
+        return a0 / s, a1 / s
 
 
-class IdealWeights3(_Scheme3):
+class IdealWeights3(Scheme3):
     """Linear third-order scheme: the ideal weights applied unconditionally."""
 
     name = "ideal3"
 
-    def face_value(self, windows):
-        um1, u0, up1 = self._cols(windows)
-        return reconstruct_minus(um1, u0, up1, *IDEAL_WEIGHTS3)
+    def weights(self, windows):
+        return IDEAL_WEIGHTS3
 
 
-class Quick(_Scheme3):
+class Quick:
+    """QUICK keeps its own formula: as the weights (1/4, 3/4) it would round differently."""
+
     name = "quick"
+    width = 3
 
     def face_value(self, windows):
-        um1, u0, up1 = self._cols(windows)
-        return quick(um1, u0, up1)
+        w = _windows(windows, 3)
+        return quick(w[..., 0], w[..., 1], w[..., 2])
 
 
 class Weno5JS:
@@ -126,5 +124,5 @@ class Weno5JS:
     width = 5
 
     def face_value(self, windows):
-        w = np.asarray(windows, dtype=float)
+        w = _windows(windows, 5)
         return weno5_js(w[..., 0], w[..., 1], w[..., 2], w[..., 3], w[..., 4])

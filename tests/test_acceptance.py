@@ -24,8 +24,6 @@ from wenonet.reconstruct import (
     Weno3JS,
     Weno3Z,
     Weno5JS,
-    weno3_js_weights,
-    weno3_z_weights,
 )
 
 GRIDS = (16, 32, 64, 128, 256, 512, 1024)
@@ -288,8 +286,8 @@ def test_criterion_9_invariance_suite(selected):
         for c in (1.0, -3.5, 64.0)
     )
     conv_worst = 0.0
-    for rule in (weno3_js_weights, weno3_z_weights):
-        w0, w1 = rule(s[:, 0], s[:, 1], s[:, 2])
+    for scheme in (Weno3JS(), Weno3Z()):
+        w0, w1 = scheme.weights(s)
         conv_worst = max(conv_worst, float(np.max(np.abs(w0 + w1 - 1.0))))
         conv_worst = max(conv_worst, float(-min(w0.min(), w1.min(), 0.0)))
     w_nn = rn.forward(model.params, s)

@@ -200,6 +200,14 @@ def test_train_on_a_dataset_with_a_bad_row_exit_2(tmp_path, capsys):
     assert not (tmp_path / "m").exists()
 
 
+def test_train_on_a_dataset_without_rows_exit_2(tmp_path, capsys):
+    path = tmp_path / "dataset.csv"
+    path.write_text(fs.DATASET_HEADER + "\n")
+    assert run_cli("train", "--dataset", str(path), "--steps", "5", "--out", str(tmp_path / "m")) == 2
+    assert "has no data rows" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
 def test_train_config_with_no_models_exit_2(tmp_path, capsys):
     data = tmp_path / "data"
     run_cli("gen-data", "--out", str(data), "--nx-values", "16", "--pairs-per-grid", "64")
@@ -478,6 +486,21 @@ def test_adr_csv(tmp_path):
     rows, _ = an.parse_report(out / "adr.csv")
     assert len(rows) == 16
     assert all(r["dissipation"] <= 1e-8 for r in rows)
+
+
+def test_converge_and_adr_reject_a_repeated_scheme_name(tmp_path, capsys):
+    # two weight files with one stem get one scheme name, so their rows would mix
+    for seed, d in enumerate("ab"):
+        (tmp_path / d).mkdir()
+        rn.save_params(rn.init_params(rng=np.random.default_rng(seed)), tmp_path / d / "m.json")
+    nets = f"nn:{tmp_path / 'a' / 'm.json'},nn:{tmp_path / 'b' / 'm.json'}"
+    for schemes, name in ((nets, "nn:m"), ("weno3-js,quick,weno3-js", "weno3-js")):
+        for argv in (["converge", "--problem", "recon-sin3", "--nx-list", "16,32"],
+                     ["adr", "--nx", "16", "--modes", "2"]):
+            out = tmp_path / "out"
+            assert run_cli(*argv, "--schemes", schemes, "--out", str(out)) == 2, argv
+            assert f"scheme name {name!r} appears twice" in capsys.readouterr().err
+            assert not out.exists()
 
 
 def test_train_select_pipeline_small(tmp_path):

@@ -1,6 +1,7 @@
 """Unit tests for the analytical function families and dataset generation."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -234,6 +235,16 @@ def test_dataset_csv_rejects_a_file_without_the_header(tmp_path, first):
     # a header ended by CRLF is the header
     path.write_text("\r\n".join([fs.DATASET_HEADER] + rows) + "\r\n")
     assert len(fs.Dataset.load_csv(path).target) == len(rows)
+
+
+@pytest.mark.parametrize("end", ["", "\n"], ids=["bare", "newline"])
+def test_dataset_csv_rejects_a_file_without_data_rows(tmp_path, end):
+    path = tmp_path / "dataset.csv"
+    path.write_text(fs.DATASET_HEADER + end)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # named before numpy could warn of empty input
+        with pytest.raises(ValueError, match=re.escape(f"dataset file {path} has no data rows")):
+            fs.Dataset.load_csv(path)
 
 
 def test_philox_streams_are_independent_and_stable():

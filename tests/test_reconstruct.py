@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wenonet import reconstruct as rc
-from wenonet.ratnet import NNScheme, load_params
+from wenonet.ratnet import NetParams, NNScheme, eno_filter, init_params, load_params
 
 rng = np.random.default_rng(1234)
 
@@ -18,6 +18,21 @@ BENCH_WEIGHTS = Path(__file__).parents[1] / "bench" / "data" / "nn_weights.json"
 #: Every scheme the solver can run: the classical ones and a trained network.
 ALL_SCHEMES = [rc.Weno3JS(), rc.Weno3Z(), rc.Weno5JS(), rc.Quick(), rc.IdealWeights3(),
                NNScheme(load_params(BENCH_WEIGHTS))]
+
+
+def random_network(seed):
+    """An initial network with normal noise of scale 0.3 on every parameter."""
+    g = np.random.default_rng(seed)
+    theta = init_params(rng=g).theta
+    return NNScheme(NetParams(theta + 0.3 * g.normal(size=theta.size)), f"random-net-{seed}")
+
+
+#: Every three-cell weight rule: the classical ones, the trained network and
+#: five random networks.
+WEIGHT_RULES = [rc.Weno3JS(), rc.Weno3Z(), rc.IdealWeights3(), ALL_SCHEMES[-1],
+                *(random_network(seed) for seed in range(5))]
+
+JS, Z = rc.Weno3JS().weights, rc.Weno3Z().weights
 
 
 def dyadic_stencils(n, width=3):
@@ -33,15 +48,15 @@ def test_interpolants_examples():
 
 def test_weno3_js_weights_examples():
     for c in (0.0, 2.5, -7.0):
-        w0, w1 = rc.weno3_js_weights(c, c, c)
+        w0, w1 = JS(np.array([c, c, c]))
         assert w0 == pytest.approx(1.0 / 3.0, abs=1e-15)
         assert w1 == pytest.approx(2.0 / 3.0, abs=1e-15)
-    w0, w1 = rc.weno3_js_weights(0.0, 1.0, 2.0)
+    w0, w1 = JS(np.array([0.0, 1.0, 2.0]))
     assert w0 == pytest.approx(1.0 / 3.0, abs=1e-12)
     # hand evaluation with beta = (1, 4), eps = 1e-6
     a0 = (1.0 / 3.0) / (1.0 + 1e-6) ** 2
     a1 = (2.0 / 3.0) / (4.0 + 1e-6) ** 2
-    w0, w1 = rc.weno3_js_weights(0.0, 1.0, 3.0)
+    w0, w1 = JS(np.array([0.0, 1.0, 3.0]))
     assert w0 == pytest.approx(a0 / (a0 + a1), abs=1e-15)
     assert w0 == pytest.approx(0.88889, abs=1e-5)
     assert w1 == pytest.approx(0.11111, abs=1e-5)
@@ -49,10 +64,10 @@ def test_weno3_js_weights_examples():
 
 def test_weno3_z_weights_examples():
     for stencil in [(1.0, 1.0, 1.0), (0.0, 1.0, 2.0)]:
-        w0, w1 = rc.weno3_z_weights(*stencil)
+        w0, w1 = Z(np.array(stencil))
         assert w0 == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert w1 == pytest.approx(2.0 / 3.0, abs=1e-12)
-    w0, w1 = rc.weno3_z_weights(0.0, 1.0, 3.0)
+    w0, w1 = Z(np.array([0.0, 1.0, 3.0]))
     a0 = (1.0 / 3.0) * (1.0 + 3.0 / (1.0 + 1e-6))
     a1 = (2.0 / 3.0) * (1.0 + 3.0 / (4.0 + 1e-6))
     assert w0 == pytest.approx(a0 / (a0 + a1), abs=1e-15)
@@ -60,13 +75,16 @@ def test_weno3_z_weights_examples():
     assert w1 == pytest.approx(0.46667, abs=1e-5)
 
 
-def test_reconstruct_minus_examples():
-    assert rc.reconstruct_minus(0.0, 1.0, 2.0, *rc.IDEAL_WEIGHTS3) == pytest.approx(
-        1.5, abs=1e-15
-    )
+def test_scheme3_face_value_examples():
+    assert rc.IdealWeights3().face_value([0.0, 1.0, 2.0]) == pytest.approx(1.5, abs=1e-15)
+
+    class FirstSubStencil(rc.Scheme3):
+        def weights(self, windows):
+            return 1.0, 0.0
+
     um1, u0, up1 = 0.3, -0.2, 0.9
     i0, _ = rc.interpolants3(um1, u0, up1)
-    assert rc.reconstruct_minus(um1, u0, up1, 1.0, 0.0) == i0
+    assert FirstSubStencil().face_value([um1, u0, up1]) == i0
 
 
 def quadratic_cell_average(coeffs, lo: Fraction, hi: Fraction) -> Fraction:
@@ -92,15 +110,13 @@ def test_ideal_weights_exact_for_quadratics_symbolic_oracle():
         face = x0 + w / 2
         exact = coeffs[0] + coeffs[1] * face + coeffs[2] * face**2
         assert (-um1 + 5 * u0 + 2 * up1) / 6 == exact  # symbolic identity
-        got = rc.reconstruct_minus(
-            float(um1), float(u0), float(up1), *rc.IDEAL_WEIGHTS3
-        )
+        got = rc.IdealWeights3().face_value([float(um1), float(u0), float(up1)])
         assert got == pytest.approx(float(exact), abs=1e-12)
 
 
 def test_spec_quadratic_example_unit_cells():
     um1, u0, up1 = 13.0 / 12.0, 1.0 / 12.0, 13.0 / 12.0
-    got = rc.reconstruct_minus(um1, u0, up1, *rc.IDEAL_WEIGHTS3)
+    got = rc.IdealWeights3().face_value([um1, u0, up1])
     assert got == pytest.approx(0.25, abs=1e-15)
 
 
@@ -129,23 +145,14 @@ def test_weno5_fifth_order_on_quartic():
     assert slope >= 4.5
 
 
-@pytest.mark.parametrize("rule", [rc.weno3_js_weights, rc.weno3_z_weights])
-def test_weight_convexity_across_eps(rule):
-    s = rng.normal(scale=3.0, size=(500, 3))
-    w0, w1 = rule(s[:, 0], s[:, 1], s[:, 2])
-    assert np.all(w0 >= 0.0) and np.all(w1 >= 0.0)
-    assert np.max(np.abs(w0 + w1 - 1.0)) < 1e-12
-
-
-@pytest.mark.parametrize("rule", [rc.weno3_js_weights, rc.weno3_z_weights])
-def test_shift_invariance_of_weights_and_values(rule):
+@pytest.mark.parametrize("scheme", [rc.Weno3JS(), rc.Weno3Z()],
+                         ids=["weno3_js_weights", "weno3_z_weights"])
+def test_shift_invariance_of_weights_and_values(scheme):
     s = dyadic_stencils(300)
     for c in (1.0, -2.5, 8.0):
-        w = rule(s[:, 0], s[:, 1], s[:, 2])
-        ws = rule(s[:, 0] + c, s[:, 1] + c, s[:, 2] + c)
+        w, ws = scheme.weights(s), scheme.weights(s + c)
         assert np.array_equal(w[0], ws[0]) and np.array_equal(w[1], ws[1])
-        v = rc.reconstruct_minus(s[:, 0], s[:, 1], s[:, 2], *w)
-        vs = rc.reconstruct_minus(s[:, 0] + c, s[:, 1] + c, s[:, 2] + c, *ws)
+        v, vs = scheme.face_value(s), scheme.face_value(s + c)
         assert np.allclose(vs, v + c, rtol=0, atol=1e-12)
 
 
@@ -223,8 +230,35 @@ def test_every_scheme_is_odd_and_stays_in_the_hull_of_its_interpolants(scheme, d
     assert np.all(v[ok] <= np.maximum(i0, i1)[ok] + tol[ok])
 
 
+@pytest.mark.parametrize("scheme", WEIGHT_RULES, ids=lambda s: s.name)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_every_weight_rule_is_convex_and_blends_its_own_weights(scheme, data):
+    s = np.array(data.draw(magnitude_rows(3)))
+    with np.errstate(all="ignore"):  # some rules overflow to NaN at these magnitudes
+        w0, w1 = scheme.weights(s)
+        i0, i1 = rc.interpolants3(s[:, 0], s[:, 1], s[:, 2])
+        blend = w0 * i0 + w1 * i1
+        assert scheme.face_value(s).tobytes() == blend.tobytes()
+    w0, w1 = np.broadcast_arrays(w0, w1, s[:, 0])[:2]  # the ideal weights are scalars
+    ok = np.isfinite(w0) & np.isfinite(w1)
+    assert np.all(w0[ok] >= 0.0) and np.all(w1[ok] >= 0.0)
+    assert np.all(np.abs(w0[ok] + w1[ok] - 1.0) <= 1e-12)
+    if isinstance(scheme, NNScheme):  # the network's pairs already passed the ENO filter
+        pairs = np.stack([w0, w1], axis=-1)
+        assert np.array_equal(eno_filter(pairs, scheme.params.c_eno), pairs, equal_nan=True)
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.name)
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_every_scheme_rejects_windows_of_another_width(scheme, delta):
+    for shape in [(scheme.width + delta,), (4, scheme.width + delta)]:
+        with pytest.raises(ValueError, match=f"last axis of length {scheme.width}"):
+            scheme.face_value(np.ones(shape))
+
+
 def test_eno_behavior_at_step():
-    w0, _ = rc.weno3_js_weights(0.0, 0.0, 1.0)
+    w0, _ = JS(np.array([0.0, 0.0, 1.0]))
     assert w0 >= 0.99
 
 

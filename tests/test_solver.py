@@ -217,7 +217,7 @@ def test_advection_rhs_is_the_divergence_of_the_two_sided_minus_faces(
     """The one-sided advection rhs keeps the bits of the two-sided reconstruction.
 
     Flat stretches (a cell equal to its left neighbour) make flat stencils, so
-    that ``nn_reconstruct`` takes its shared flat-row route in both calls.
+    that ``NNScheme.weights`` takes its shared flat-row route in both calls.
     """
     g = np.random.default_rng(seed)
     u = g.normal(size=nx) * 10.0 ** float(g.integers(-6, 6))
