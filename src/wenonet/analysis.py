@@ -1,7 +1,8 @@
-"""Convergence studies, dispersion-dissipation fingerprints, and CSV reports.
+"""Convergence studies, dispersion-dissipation fingerprints, scorecards, CSV reports.
 
 ``convergence_study`` is the one convergence-order estimator; model selection
 (``train.evaluate_orders``) and ``wenonet converge`` both read its slopes.
+``scorecard`` defines the downstream figures that the gate and demos 04 and 07 read.
 
 The spectral analysis treats each (possibly nonlinear) scheme as a black box:
 evolve a single Fourier mode of the advection equation by one tiny step and
@@ -17,7 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .funcspace import FunctionSpec, discretize, face_targets
+from .reconstruct import Weno3JS, Weno5JS
 from .solver import GridSpec, Problem, default_grid, rhs, run, ssp_rk3_step
+from .solver import advection_cosine, advection_sigmoid, burgers_riemann
 
 __all__ = [
     "ADRPoint",
@@ -29,6 +32,7 @@ __all__ = [
     "interpolation_error",
     "emit_report",
     "parse_report",
+    "scorecard",
 ]
 
 #: Fraction of a cell crossing used for the one-step mode evolution.
@@ -36,6 +40,13 @@ ADR_DT_FRACTION = 1e-3
 
 DEFAULT_ADR_NX = 256
 DEFAULT_ADR_MODES = 64
+
+#: Scorecard settings: the solves' grid, T and CFL, the sigmoid grids, the kappa*dx band.
+SCORECARD_NX = 256
+SCORECARD_T = 5.0
+SCORECARD_CFL = 0.4
+SCORECARD_SIGMOID_NX = (64, 128, 256, 512)
+SCORECARD_BAND = (2.0, 3.0)
 
 
 @dataclass(frozen=True)
@@ -167,6 +178,76 @@ def convergence_study(schemes, target, nx_list) -> list[ConvergenceRow]:
             for nx, dx, err in zip(nx_list, dxs, errs)
         )
     return rows
+
+
+@dataclass(frozen=True)
+class _ScorecardRow:
+    """One scheme's scorecard; the sigmoid L1 and its ratio are at the coarsest grid."""
+
+    scheme: str
+    cosine_l1: float
+    cosine_ratio: float
+    sigmoid_slope: float
+    sigmoid_coarse_l1: float
+    sigmoid_coarse_ratio: float
+    shock_overshoot: float
+    shock_l1: float
+    transonic_l1: float
+    transonic_ratio: float
+    max_dissipation: float
+    band_below_js: bool
+
+
+def _measure(scheme) -> tuple[dict, list[float]]:
+    """A scheme's name and own figures, and its dissipation on each ADR mode."""
+
+    def solve(problem):
+        return run(problem, default_grid(problem, SCORECARD_NX), scheme)
+
+    sigmoid = advection_sigmoid(SCORECARD_T, SCORECARD_CFL)
+    coarse = convergence_study([scheme], sigmoid, SCORECARD_SIGMOID_NX)[0]
+    shock_problem = burgers_riemann(1.0, 0.0, SCORECARD_T, SCORECARD_CFL)
+    shock = solve(shock_problem)
+    u, (u_l, u_r) = shock.final_state, shock_problem.riemann
+    curve = [p.dissipation for p in adr(scheme, default_kappa_grid(), DEFAULT_ADR_NX)]
+    return {
+        "scheme": scheme.name,
+        "cosine_l1": solve(advection_cosine(SCORECARD_T, SCORECARD_CFL)).final_error,
+        "sigmoid_slope": coarse.slope,
+        "sigmoid_coarse_l1": coarse.error,
+        "shock_overshoot": max(float(u.max() - max(u_l, u_r)), float(min(u_l, u_r) - u.min())),
+        "shock_l1": shock.final_error,
+        "transonic_l1": solve(burgers_riemann(-1.0, 1.0, SCORECARD_T, SCORECARD_CFL)).final_error,
+        "max_dissipation": max(curve),
+    }, curve
+
+
+def scorecard(schemes) -> list[_ScorecardRow]:
+    """Downstream figures at the SCORECARD_* settings, one row per scheme in order.
+
+    Ratios divide by WENO3-JS's figure, or WENO5-JS's for the transonic one;
+    these references are measured once, or read from ``schemes`` by name.
+    ``band_below_js``: |dissipation| under WENO3-JS's on each mode in SCORECARD_BAND.
+    """
+    schemes = list(schemes)
+    names = [s.name for s in schemes]
+    if len(set(names)) < len(names):
+        raise ValueError(f"a scheme name appears twice in the scorecard: {names}")
+    references = [r for r in (Weno3JS(), Weno5JS()) if r.name not in names]
+    measured = {s.name: _measure(s) for s in schemes + references}
+    (js, js_curve), (w5, _) = measured["weno3-js"], measured["weno5-js"]
+    lo, hi = SCORECARD_BAND
+    band = [i for i, k in enumerate(default_kappa_grid()) if lo <= k <= hi]
+    return [
+        _ScorecardRow(
+            cosine_ratio=figures["cosine_l1"] / js["cosine_l1"],
+            sigmoid_coarse_ratio=figures["sigmoid_coarse_l1"] / js["sigmoid_coarse_l1"],
+            transonic_ratio=figures["transonic_l1"] / w5["transonic_l1"],
+            band_below_js=all(abs(curve[i]) < abs(js_curve[i]) for i in band),
+            **figures,
+        )
+        for figures, curve in map(measured.get, names)
+    ]
 
 
 def _format_cell(value) -> str:

@@ -43,6 +43,9 @@ SWEEP_PEAK_LR = 2e-3
 SWEEP_STEPS = 45000
 SWEEP_BATCH = 2048
 
+#: The schemes criteria 3-5 compare, in the order their report lines list them.
+COMPARED = ("weno3-js", "weno3-z", "weno5-js", "weno3-nn")
+
 
 def report(criterion: str, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {criterion}: {detail}")
@@ -72,6 +75,14 @@ def sweep():
 def selected(sweep):
     model = tr.select_model(sweep, "conv-sine-step")
     return rn.NNScheme(model.params), model
+
+
+@pytest.fixture(scope="module")
+def scores(selected):
+    """Scorecard rows by scheme name: the figures of criteria 3-6 and 10."""
+    nn_scheme, _ = selected
+    rows = an.scorecard([Weno3JS(), Weno3Z(), Weno5JS(), Quick(), nn_scheme])
+    return {row.scheme: row for row in rows}
 
 
 def test_criterion_1_reconstruction_orders():
@@ -113,15 +124,9 @@ def test_criterion_2_selected_model_orders(selected):
     assert order_g > 2.0
 
 
-def test_criterion_3_advection_cosine(selected):
-    nn_scheme, _ = selected
-    prob = sv.advection_cosine(T=5.0, cfl=0.4)
-    grid = sv.default_grid(prob, 256)
-    errs = {
-        s.name: sv.run(prob, grid, s).final_error
-        for s in (Weno3JS(), Weno3Z(), Weno5JS(), nn_scheme)
-    }
-    ratio = errs["weno3-nn"] / errs["weno3-js"]
+def test_criterion_3_advection_cosine(scores):
+    errs = {name: scores[name].cosine_l1 for name in COMPARED}
+    ratio = scores["weno3-nn"].cosine_ratio
     w5_best = errs["weno5-js"] == min(errs.values())
     ok = ratio <= 0.2 and w5_best
     report(
@@ -135,15 +140,9 @@ def test_criterion_3_advection_cosine(selected):
     assert w5_best
 
 
-def test_criterion_4_sigmoid_convergence(selected):
-    nn_scheme, _ = selected
-    prob = sv.advection_sigmoid(T=5.0, cfl=0.4)
-    rows = an.convergence_study(
-        (Weno3JS(), Weno3Z(), Weno5JS(), nn_scheme), prob, (64, 128, 256, 512)
-    )
-    slopes = {r.scheme: r.slope for r in rows}
-    errs_64 = {r.scheme: r.error for r in rows if r.nx == 64}
-    ratio = errs_64["weno3-nn"] / errs_64["weno3-js"]
+def test_criterion_4_sigmoid_convergence(scores):
+    slopes = {name: scores[name].sigmoid_slope for name in COMPARED}
+    ratio = scores["weno3-nn"].sigmoid_coarse_ratio
     in_band = {k: 1.2 <= v <= 2.0 for k, v in slopes.items()}
     ok = all(in_band.values()) and ratio <= 0.6
     report(
@@ -168,17 +167,9 @@ def test_criterion_4_sigmoid_convergence(selected):
     )
 
 
-def test_criterion_5_burgers_shock(selected):
-    nn_scheme, _ = selected
-    prob = sv.burgers_riemann(1.0, 0.0, T=5.0)
-    grid = sv.default_grid(prob, 256)
-    overshoot = {}
-    errs = {}
-    for scheme in (Weno3JS(), Weno3Z(), Weno5JS(), nn_scheme):
-        rep = sv.run(prob, grid, scheme)
-        u = rep.final_state
-        overshoot[scheme.name] = max(float(u.max() - 1.0), float(-u.min()))
-        errs[scheme.name] = rep.final_error
+def test_criterion_5_burgers_shock(scores):
+    overshoot = {name: scores[name].shock_overshoot for name in COMPARED}
+    errs = {name: scores[name].shock_l1 for name in COMPARED}
     ok = all(v <= 1e-3 for v in overshoot.values()) and (
         errs["weno3-nn"] <= errs["weno3-js"]
     )
@@ -195,15 +186,11 @@ def test_criterion_5_burgers_shock(selected):
     assert errs["weno3-nn"] <= errs["weno3-js"]
 
 
-def test_criterion_6_burgers_transonic(selected):
-    nn_scheme, _ = selected
-    prob = sv.burgers_riemann(-1.0, 1.0, T=5.0)
-    grid = sv.default_grid(prob, 256)
+def test_criterion_6_burgers_transonic(scores):
     errs = {
-        s.name: sv.run(prob, grid, s).final_error
-        for s in (Weno3JS(), Weno5JS(), nn_scheme)
+        name: scores[name].transonic_l1 for name in ("weno3-js", "weno5-js", "weno3-nn")
     }
-    ratio = errs["weno3-nn"] / errs["weno5-js"]
+    ratio = scores["weno3-nn"].transonic_ratio
     ok = ratio <= 1.2
     report(
         "6",
@@ -316,27 +303,18 @@ def test_criterion_9_invariance_suite(selected):
     assert drift <= 1e-10
 
 
-def test_criterion_10_adr_suite(selected):
-    nn_scheme, _ = selected
-    kappas = an.default_kappa_grid(64)
-    schemes = [Weno3JS(), Weno3Z(), Weno5JS(), Quick(), nn_scheme]
-    curves = {s.name: an.adr(s, kappas, nx=256) for s in schemes}
-    max_diss = max(p.dissipation for pts in curves.values() for p in pts)
-    band = [
-        i for i, k in enumerate(kappas) if 2.0 <= k <= 3.0
-    ]
-    nn_less = all(
-        abs(curves["weno3-nn"][i].dissipation)
-        < abs(curves["weno3-js"][i].dissipation)
-        for i in band
-    )
+def test_criterion_10_adr_suite(scores):
+    max_diss = max(row.max_dissipation for row in scores.values())
+    lo, hi = an.SCORECARD_BAND
+    n_band = sum(lo <= k <= hi for k in an.default_kappa_grid())
+    nn_less = scores["weno3-nn"].band_below_js
     ok = max_diss <= 1e-8 and nn_less
     report(
         "10",
         ok,
         f"max dissipation over all schemes/modes {max_diss:.2e} (need <= 1e-8); "
         f"nn |dissipation| < weno3-js on kappa*dx in [2, 3] "
-        f"({len(band)} modes): {nn_less}",
+        f"({n_band} modes): {nn_less}",
     )
     assert max_diss <= 1e-8
     assert nn_less

@@ -116,3 +116,28 @@ def test_emit_report_single_row_layout(tmp_path):
     lines = (tmp_path / "one.csv").read_text().splitlines()
     assert len(lines) == 3  # comment, header, one row
     assert lines[2] == "1"
+
+
+def test_scorecard_rows_ratios_and_pinned_figures(tmp_path):
+    rows = an.scorecard([Weno3JS(), Weno5JS()])
+    assert [r.scheme for r in rows] == ["weno3-js", "weno5-js"]
+    js, w5 = rows
+    # each reference is its own denominator
+    assert js.cosine_ratio == 1.0 and js.sigmoid_coarse_ratio == 1.0
+    assert w5.transonic_ratio == 1.0
+    assert js.band_below_js is False and w5.band_below_js is True
+    prob = sv.advection_cosine(T=5.0, cfl=0.4)
+    assert js.cosine_l1 == sv.run(prob, sv.default_grid(prob, 256), Weno3JS()).final_error
+    assert round(js.sigmoid_slope, 2) == 1.70
+    assert f"{js.shock_overshoot:.1e}" == "1.3e-04"
+    assert round(w5.sigmoid_slope, 2) == 2.54
+    an.emit_report(rows, tmp_path / "scorecard.csv")
+    back, _ = an.parse_report(tmp_path / "scorecard.csv")
+    assert back == [
+        {k: str(v) if isinstance(v, bool) else v for k, v in vars(r).items()} for r in rows
+    ]
+
+
+def test_scorecard_rejects_a_repeated_name():
+    with pytest.raises(ValueError, match="appears twice"):
+        an.scorecard([Weno3JS(), Weno3Z(), Weno3JS()])

@@ -713,11 +713,6 @@ def test_weight_file_validation_names_first_bad_field(tmp_path):
         rn.params_from_json("not json at all")
 
 
-def test_nn_scheme_matches_direct_reconstruction():
-    params = random_params(2)
-    scheme = rn.NNScheme(params)
-    windows = rng.normal(size=(50, 3))
-    assert np.array_equal(
-        scheme.face_value(windows), rn.nn_reconstruct(params, windows)
-    )
+def test_nn_scheme_width_and_name():
+    scheme = rn.NNScheme(random_params(2))
     assert scheme.width == 3 and scheme.name == "weno3-nn"
