@@ -41,10 +41,9 @@ ADR_DT_FRACTION = 1e-3
 DEFAULT_ADR_NX = 256
 DEFAULT_ADR_MODES = 64
 
-#: Scorecard settings: the solves' grid, T and CFL, the sigmoid grids, the kappa*dx band.
+#: Scorecard settings: the solves' grid, the sigmoid grids, the kappa*dx band; T and CFL
+#: are the solver's defaults.
 SCORECARD_NX = 256
-SCORECARD_T = 5.0
-SCORECARD_CFL = 0.4
 SCORECARD_SIGMOID_NX = (64, 128, 256, 512)
 SCORECARD_BAND = (2.0, 3.0)
 
@@ -204,20 +203,19 @@ def _measure(scheme) -> tuple[dict, list[float]]:
     def solve(problem):
         return run(problem, default_grid(problem, SCORECARD_NX), scheme)
 
-    sigmoid = advection_sigmoid(SCORECARD_T, SCORECARD_CFL)
-    coarse = convergence_study([scheme], sigmoid, SCORECARD_SIGMOID_NX)[0]
-    shock_problem = burgers_riemann(1.0, 0.0, SCORECARD_T, SCORECARD_CFL)
+    coarse = convergence_study([scheme], advection_sigmoid(), SCORECARD_SIGMOID_NX)[0]
+    shock_problem = burgers_riemann(1.0, 0.0)
     shock = solve(shock_problem)
     u, (u_l, u_r) = shock.final_state, shock_problem.riemann
     curve = [p.dissipation for p in adr(scheme, default_kappa_grid(), DEFAULT_ADR_NX)]
     return {
         "scheme": scheme.name,
-        "cosine_l1": solve(advection_cosine(SCORECARD_T, SCORECARD_CFL)).final_error,
+        "cosine_l1": solve(advection_cosine()).final_error,
         "sigmoid_slope": coarse.slope,
         "sigmoid_coarse_l1": coarse.error,
         "shock_overshoot": max(float(u.max() - max(u_l, u_r)), float(min(u_l, u_r) - u.min())),
         "shock_l1": shock.final_error,
-        "transonic_l1": solve(burgers_riemann(-1.0, 1.0, SCORECARD_T, SCORECARD_CFL)).final_error,
+        "transonic_l1": solve(burgers_riemann(-1.0, 1.0)).final_error,
         "max_dissipation": max(curve),
     }, curve
 
@@ -279,6 +277,8 @@ def emit_report(rows, path, metadata: dict | None = None) -> None:
 
 
 def _parse_cell(text: str):
+    if text in ("True", "False"):
+        return text == "True"
     for cast in (int, float):
         try:
             return cast(text)

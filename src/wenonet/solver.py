@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +31,7 @@ __all__ = [
     "numerical_flux",
     "rhs",
     "ssp_rk3_step",
+    "steps",
     "run",
     "exact_solution",
     "exact_cell_averages",
@@ -206,31 +206,17 @@ def _max_wave_speed(state: np.ndarray, kind: str) -> float:
     return max(float(np.max(np.abs(state))), 1e-12)
 
 
-@dataclass
-class SolveReport:
-    times: np.ndarray
-    l1_errors: np.ndarray
-    final_state: np.ndarray
-    wall_time: float = 0.0
+def steps(problem: Problem, grid: GridSpec, scheme):
+    """Yield ``(t, state)``: the initial averages at t = 0, then each step to ``problem.T``.
 
-    @property
-    def t_final(self) -> float:
-        return float(self.times[-1])
-
-    @property
-    def final_error(self) -> float:
-        return float(self.l1_errors[-1])
-
-
-def run(problem: Problem, grid: GridSpec, scheme) -> SolveReport:
-    """Integrate to ``problem.T`` on its ``default_grid``, recording the L1 error per step."""
+    The grid must be the problem's ``default_grid``; a non-finite state raises
+    ``RuntimeError``.
+    """
     if grid != default_grid(problem, grid.nx):
         raise ValueError(f"{grid} is not default_grid(problem, {grid.nx}) of {problem}")
-    t0 = time.perf_counter()
     u = initial_averages(problem, grid)
     t = 0.0
-    times = [0.0]
-    errors = [l1_error(u, u, grid.dx)]
+    yield t, u
     step = 0
     while t < problem.T - 1e-12:
         dt = problem.cfl * grid.dx / _max_wave_speed(u, problem.kind)
@@ -243,9 +229,23 @@ def run(problem: Problem, grid: GridSpec, scheme) -> SolveReport:
                 f"scheme {scheme.name} produced a non-finite state at step {step}, "
                 f"t={t:.6g}"
             )
+        yield t, u
+
+
+@dataclass
+class SolveReport:
+    times: np.ndarray
+    final_state: np.ndarray
+    final_error: float
+
+
+def run(problem: Problem, grid: GridSpec, scheme) -> SolveReport:
+    """Integrate with ``steps``; the L1 error is measured once, at the final time."""
+    times = []
+    for t, u in steps(problem, grid, scheme):
         times.append(t)
-        errors.append(l1_error(u, exact_cell_averages(problem, grid, t), grid.dx))
-    return SolveReport(np.asarray(times), np.asarray(errors), u, time.perf_counter() - t0)
+    error = l1_error(u, exact_cell_averages(problem, grid, t), grid.dx)
+    return SolveReport(np.asarray(times), u, error)
 
 
 def exact_solution(problem: Problem, x, t: float):

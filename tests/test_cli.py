@@ -348,6 +348,23 @@ def test_solve_matches_library_call(tmp_path):
     assert sol[0]["u_exact"] == pytest.approx(report.final_state[0], abs=0.05)
 
 
+def test_solve_error_series_is_the_l1_error_of_each_step(tmp_path):
+    out = tmp_path / "solve"
+    assert run_cli("solve", "--problem", "burgers-shock", "--scheme", "weno3-js",
+                   "--nx", "32", "--T", "0.5", "--out", str(out)) == 0
+    rows, _ = an.parse_report(out / "error_series.csv")
+    prob = sv.burgers_riemann(1.0, 0.0, T=0.5)
+    grid = sv.default_grid(prob, 32)
+    expected = [
+        {"t": t, "l1": sv.l1_error(u, sv.exact_cell_averages(prob, grid, t), grid.dx)}
+        for t, u in sv.steps(prob, grid, Weno3JS())
+    ]
+    assert rows == expected  # bit for bit via the 17-digit round trip
+    sol, _ = an.parse_report(out / "solution.csv")
+    final = sv.exact_cell_averages(prob, grid, expected[-1]["t"])
+    assert [r["u_exact"] for r in sol] == list(final)
+
+
 def test_solve_unknown_scheme_exit_2(tmp_path):
     code = run_cli(
         "solve",
@@ -385,10 +402,10 @@ def test_usage_errors_name_the_valid_choices(tmp_path, capsys):
 
 
 def test_program_errors_propagate_instead_of_exit_2(tmp_path, monkeypatch):
-    def broken_run(problem, grid, scheme):
+    def broken_steps(problem, grid, scheme):
         raise TypeError("a bug inside the solver")
 
-    monkeypatch.setattr(cli.solver, "run", broken_run)
+    monkeypatch.setattr(cli.solver, "steps", broken_steps)
     with pytest.raises(TypeError, match="a bug inside the solver"):
         run_cli("solve", "--problem", "advection-cosine", "--scheme", "weno3-js",
                 "--out", str(tmp_path / "x"))

@@ -1,7 +1,7 @@
 """The fast demos run to completion.
 
 Demos 03 (training, about 7 s) and 04 (the classical schemes' scorecard,
-about 15 s on a shared 2-core machine) run in CI's fast-suite job as a step of
+about 11 s on a shared 2-core machine) run in CI's fast-suite job as a step of
 their own; demo 07 (the selection proxy, about 100 s on 2 cores) is run by hand.
 """
 

@@ -373,7 +373,41 @@ def test_run_advection_one_period_round_trip():
     norm = sv.l1_error(np.zeros(64), sv.initial_averages(prob, grid), grid.dx)
     assert report.final_error < 0.5 * norm
     assert report.times[-1] == pytest.approx(1.0, abs=1e-12)
-    assert report.l1_errors[0] == 0.0
+    t0, u0 = next(sv.steps(prob, grid, Weno3JS()))
+    assert t0 == 0.0 and np.array_equal(u0, sv.initial_averages(prob, grid))
+
+
+def test_steps_start_at_the_initial_averages_and_end_at_T():
+    prob = sv.burgers_riemann(1.0, 0.0, T=0.3)
+    grid = sv.default_grid(prob, 32)
+    states = list(sv.steps(prob, grid, Weno3JS()))
+    assert states[0][0] == 0.0
+    assert np.array_equal(states[0][1], sv.initial_averages(prob, grid))
+    times = [t for t, _ in states]
+    assert times[-1] == 0.3 and all(a < b for a, b in zip(times, times[1:]))
+    report = sv.run(prob, grid, Weno3JS())
+    assert np.array_equal(report.times, times)
+    assert np.array_equal(report.final_state, states[-1][1])
+    # a zero end time takes no step
+    still = sv.burgers_riemann(1.0, 0.0, T=0.0)
+    (only,) = sv.steps(still, grid, Weno3JS())
+    assert only[0] == 0.0 and np.array_equal(only[1], sv.initial_averages(still, grid))
+
+
+def test_run_evaluates_the_exact_solution_once(monkeypatch):
+    calls = []
+    exact = sv.exact_cell_averages
+
+    def counted(problem, grid, t):
+        calls.append(t)
+        return exact(problem, grid, t)
+
+    monkeypatch.setattr(sv, "exact_cell_averages", counted)
+    prob = sv.advection_cosine(T=0.5)
+    grid = sv.default_grid(prob, 32)
+    report = sv.run(prob, grid, Weno3JS())
+    # the initial averages are the one call before the first step, the error the other
+    assert calls == [0.0, report.times[-1]] and len(report.times) > 2
 
 
 def test_run_burgers_shock_position():
