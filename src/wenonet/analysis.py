@@ -22,19 +22,6 @@ from .reconstruct import Weno3JS, Weno5JS
 from .solver import GridSpec, Problem, default_grid, rhs, run, ssp_rk3_step
 from .solver import advection_cosine, advection_sigmoid, burgers_riemann
 
-__all__ = [
-    "ADRPoint",
-    "ConvergenceRow",
-    "adr",
-    "default_kappa_grid",
-    "convergence_study",
-    "convergence_order",
-    "interpolation_error",
-    "emit_report",
-    "parse_report",
-    "scorecard",
-]
-
 #: Fraction of a cell crossing used for the one-step mode evolution.
 ADR_DT_FRACTION = 1e-3
 
@@ -73,6 +60,8 @@ class ConvergenceRow:
 
 def default_kappa_grid(n_modes: int = DEFAULT_ADR_MODES) -> np.ndarray:
     """n_modes reduced wavenumbers evenly spaced in (0, pi]."""
+    if n_modes < 1:
+        raise ValueError(f"n_modes must be at least 1, got {n_modes}")
     return np.pi * np.arange(1, n_modes + 1) / n_modes
 
 

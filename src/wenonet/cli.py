@@ -230,6 +230,7 @@ def cmd_train(args) -> dict:
             "beta_d": model.config.hyper.beta_d,
             "peak_lr": model.config.peak_lr,
             **train.selection_row(model),
+            "skipped_steps": model.skipped_steps,
             "criterion": criteria[i],
         })
     analysis.emit_report(

@@ -12,24 +12,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-__all__ = [
-    "FunctionSpec",
-    "DatasetConfig",
-    "Dataset",
-    "TRAIN_FAMILIES",
-    "EVAL_FAMILIES",
-    "DEFAULT_NX_VALUES",
-    "DEFAULT_PAIRS_PER_GRID",
-    "DATASET_HEADER",
-    "philox_rng",
-    "sample_function",
-    "eval_function",
-    "cell_average",
-    "discretize",
-    "face_targets",
-    "build_dataset",
-]
-
 #: Families reserved for model evaluation / selection.
 EVAL_FAMILIES = ("sine_cubed", "sine_step")
 

@@ -29,30 +29,6 @@ import numpy as np
 
 from .reconstruct import Scheme3, _windows
 
-__all__ = [
-    "NetParams",
-    "NNScheme",
-    "DENOM_GUARD",
-    "C_ENO_DEFAULT",
-    "DEFAULT_ARCH",
-    "FEATURE_COUNT",
-    "rational_features",
-    "forward",
-    "backward",
-    "eno_filter",
-    "nn_reconstruct",
-    "init_params",
-    "count_params",
-    "count_flops",
-    "accounting_report",
-    "params_to_vector",
-    "vector_to_params",
-    "params_to_json",
-    "params_from_json",
-    "save_params",
-    "load_params",
-]
-
 #: Additive guard on |q(x)| so learned denominators can never blow up.
 DENOM_GUARD = 1e-8
 

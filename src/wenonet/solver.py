@@ -18,27 +18,6 @@ import numpy as np
 
 from .funcspace import FunctionSpec
 
-__all__ = [
-    "GridSpec",
-    "Problem",
-    "SolveReport",
-    "advection_cosine",
-    "advection_sigmoid",
-    "burgers_riemann",
-    "default_grid",
-    "initial_averages",
-    "face_states",
-    "numerical_flux",
-    "rhs",
-    "ssp_rk3_step",
-    "steps",
-    "run",
-    "exact_solution",
-    "exact_cell_averages",
-    "l1_error",
-    "total_variation",
-]
-
 DEFAULT_CFL = 0.4
 DEFAULT_T = 5.0
 

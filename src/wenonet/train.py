@@ -18,30 +18,6 @@ from .funcspace import DEFAULT_NX_VALUES, EVAL_FAMILIES, Dataset, eval_function,
 from .ratnet import NetParams, NNScheme, backward, forward, init_params
 from .reconstruct import IDEAL_WEIGHTS3, interpolants3
 
-__all__ = [
-    "LossHyper",
-    "TrainConfig",
-    "TrainedModel",
-    "AdamState",
-    "SELECTION_CRITERIA",
-    "DEFAULT_SWEEP_ALPHAS",
-    "DEFAULT_SWEEP_BETA_D",
-    "DEFAULT_SWEEP_PEAK_LR",
-    "gamma",
-    "loss_and_grad",
-    "evaluate_losses",
-    "lr_schedule",
-    "adam_step",
-    "train_model",
-    "evaluate_orders",
-    "selection_row",
-    "select_index",
-    "select_model",
-    "sweep_grid",
-    "run_sweep",
-    "TRAIN_LOG_HEADER",
-]
-
 #: Hyperparameter hull spanned by the published model variants.
 DEFAULT_SWEEP_ALPHAS = (0.01, 0.03, 0.1, 0.3)
 DEFAULT_SWEEP_BETA_D = (0.03, 0.1, 0.3)

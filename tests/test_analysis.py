@@ -16,6 +16,12 @@ def test_default_kappa_grid():
     assert k[-1] == pytest.approx(np.pi)
 
 
+@pytest.mark.parametrize("n_modes", [0, -3])
+def test_default_kappa_grid_rejects_fewer_than_one_mode(n_modes):
+    with pytest.raises(ValueError, match="n_modes"):
+        an.default_kappa_grid(n_modes)
+
+
 def test_adr_rejects_non_integer_mode():
     with pytest.raises(ValueError, match="integer mode"):
         an.adr(Weno3JS(), [0.1], nx=64)

@@ -126,6 +126,24 @@ def _train_small(tmp_path, *flags):
     return code, out
 
 
+def test_registry_counts_the_steps_skipped_for_a_non_finite_gradient(tmp_path, monkeypatch):
+    real = tr._loss_and_grad
+    calls = []
+
+    def loss_and_grad(params, stencils, targets, consts, hyper):
+        loss, grad, parts = real(params, stencils, targets, consts, hyper)
+        calls.append(None)
+        if len(calls) == 4:
+            grad = np.where(np.arange(grad.size) == 5, np.nan, grad)
+        return loss, grad, parts
+
+    monkeypatch.setattr(tr, "_loss_and_grad", loss_and_grad)
+    code, out = _train_small(tmp_path, "--steps", "8", "--jobs", "1")
+    assert code == 0
+    (row,), _ = an.parse_report(out / "models.csv")
+    assert row["skipped_steps"] == 1
+
+
 def test_zero_valued_flags_are_kept(tmp_path):
     code, out = _train_small(tmp_path, "--steps", "40", "--warmup-steps", "0")
     assert code == 0
@@ -505,6 +523,14 @@ def test_adr_csv(tmp_path):
     assert all(r["dissipation"] <= 1e-8 for r in rows)
 
 
+@pytest.mark.parametrize("modes", ["0", "-3"])
+def test_adr_rejects_fewer_than_one_mode_before_writing(tmp_path, capsys, modes):
+    out = tmp_path / "adr"
+    assert run_cli("adr", "--schemes", "weno3-js", "--modes", modes, "--out", str(out)) == 2
+    assert "n_modes" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_converge_and_adr_reject_a_repeated_scheme_name(tmp_path, capsys):
     # two weight files with one stem get one scheme name, so their rows would mix
     for seed, d in enumerate("ab"):
@@ -556,9 +582,10 @@ def test_train_select_pipeline_small(tmp_path):
     assert (model_dir / "model_001.json").exists()
     rows, _ = an.parse_report(model_dir / "models.csv")
     assert len(rows) == 2
-    assert set(rows[0]) == set(
-        "model_id,alpha,beta_d,peak_lr,order_g,order_h,recon_loss,dev_loss,criterion".split(",")
-    )
+    assert list(rows[0]) == (
+        "model_id,alpha,beta_d,peak_lr,order_g,order_h,recon_loss,dev_loss,skipped_steps,criterion"
+    ).split(",")
+    assert [r["skipped_steps"] for r in rows] == [0, 0]
     log_lines = (model_dir / "train_log_model_000.csv").read_text().splitlines()
     assert log_lines[0] == "step,lr,loss,loss_r,loss_d,loss_l2"
     assert len(log_lines) == 61

@@ -1,4 +1,4 @@
-"""Each module's ``__all__`` matches what it defines, and the program reads every name in it."""
+"""The program reads every public name: a name is public when it has no leading underscore."""
 
 import ast
 import importlib
@@ -6,14 +6,12 @@ import inspect
 import pkgutil
 from pathlib import Path
 
-import pytest
-
 import wenonet
 
 ROOT = Path(__file__).parents[1]
 
-#: Exported names that nothing in the program reads, each kept for a reason of its own.
-UNREAD_EXPORTS = {
+#: Public names that nothing in the program reads, each kept for a reason of its own.
+UNREAD_PUBLIC = {
     "wenonet.ratnet.eno_filter",  # acceptance criterion 9 checks the filter is idempotent
     "wenonet.solver.exact_solution",  # integrated by quadrature to check exact_cell_averages
 }
@@ -24,19 +22,20 @@ MODULES = [
 ]
 
 
-@pytest.mark.parametrize(
-    "mod", [m for m in MODULES if hasattr(m, "__all__")], ids=lambda m: m.__name__
-)
-def test_all_lists_exactly_the_public_definitions(mod):
-    assert [n for n in mod.__all__ if not hasattr(mod, n)] == []
-    defined = [
+def _public_names(mod) -> set[str]:
+    """The public functions and classes ``mod`` defines, and its public module-level
+    constants (the targets of an assignment in the module body)."""
+    names = {
         name
         for name, obj in vars(mod).items()
-        if not name.startswith("_")
-        and (inspect.isfunction(obj) or inspect.isclass(obj))
-        and obj.__module__ == mod.__name__
-    ]
-    assert [n for n in defined if n not in mod.__all__] == []
+        if (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ == mod.__name__
+    }
+    for node in ast.parse(inspect.getsource(mod)).body:
+        if isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return {name for name in names if not name.startswith("_")}
 
 
 def _names_read() -> set[str]:
@@ -55,12 +54,12 @@ def _names_read() -> set[str]:
     return read
 
 
-def test_every_export_is_read_by_the_program():
+def test_every_public_name_is_read_by_the_program():
     read = _names_read()
     unread = {
         f"{mod.__name__}.{name}"
         for mod in MODULES
-        for name in getattr(mod, "__all__", ())
+        for name in _public_names(mod)
         if name not in read
     }
-    assert unread == UNREAD_EXPORTS
+    assert unread == UNREAD_PUBLIC
