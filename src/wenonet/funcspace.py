@@ -224,13 +224,15 @@ class Dataset:
         raw = np.loadtxt(lines, delimiter=",", ndmin=2)
         if raw.shape[1] != 5:
             raise ValueError(f"dataset file {path} must have 5 columns")
-        finite = np.isfinite(raw).all(axis=1)
-        bad = ~finite | (raw[:, 4] != np.floor(raw[:, 4]))
+        finite, nx = np.isfinite(raw).all(axis=1), raw[:, 4]
+        bad = ~finite | (nx != np.floor(nx)) | (nx < 4)
         if bad.any():
             i = int(np.argmax(bad))  # row i sits on line i + 2, after the header
-            what = "a non-finite value" if not finite[i] else f"non-integral nx {float(raw[i, 4])}"
+            what = ("a non-finite value" if not finite[i]
+                    else f"non-integral nx {float(nx[i])}" if nx[i] != np.floor(nx[i])
+                    else f"nx {int(nx[i])}, below the smallest grid size 4")
             raise ValueError(f"dataset file {path} line {i + 2} has {what}")
-        return cls(raw[:, :3], raw[:, 3], raw[:, 4].astype(np.int64))
+        return cls(raw[:, :3], raw[:, 3], nx.astype(np.int64))
 
 
 def sample_function(family: str, rng: np.random.Generator) -> FunctionSpec:

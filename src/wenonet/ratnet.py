@@ -2,8 +2,9 @@
 
 The network is tiny by design: four per-feature (3,2)-rational featurizers, a
 stack of dense layers with one shared (3,2)-rational activation each, and a
-two-way softmax head.  A hard-threshold filter restores the
-essentially-non-oscillatory property at inference time.
+two-way softmax head.  At inference ``NNScheme.weights`` passes the head's
+weights through ``eno_filter``, a hard threshold at ``NetParams.c_eno`` that
+restores the essentially-non-oscillatory property.
 
 ``forward`` (which can record a tape) and ``backward`` (reverse mode by hand)
 are the network's only forward and backward passes.  The tape keeps each
@@ -13,7 +14,8 @@ reductions but without their per-row cost.
 
 Every learnable scalar is stored once, in the flat vector ``NetParams.theta``;
 the rationals, layers and head are views of it.  The block table
-``_blocks(arch)`` gives each block's weight-file path and shape in theta order.
+``_blocks(arch)`` gives each block's weight-file path and shape in theta order,
+and is where ``arch`` is checked; ``NetParams`` checks ``c_eno``.
 """
 
 from __future__ import annotations
@@ -55,7 +57,13 @@ RELU_Q = (1.0, -1.2971478537744163e-08, 0.2182840705240141)
 
 @functools.lru_cache(maxsize=None)
 def _blocks(arch: tuple[int, ...]) -> tuple:
-    """The block table: (weight-file path, shape) of every block, in theta order."""
+    """The block table: (weight-file path, shape) of every block, in theta order.
+
+    Raises ValueError unless ``arch`` is positive integers starting with ``FEATURE_COUNT``.
+    """
+    if not (arch[:1] == (FEATURE_COUNT,)
+            and all(isinstance(n, (int, np.integer)) and n > 0 for n in arch)):
+        raise ValueError(f"arch {arch!r} is not positive integers starting with {FEATURE_COUNT}")
 
     def rational(*head):
         return [((*head, "p"), (_NUM_DEG + 1,)), ((*head, "q"), (_DEN_DEG + 1,))]
@@ -100,6 +108,8 @@ class NetParams:
     map and its shared rational (the features are the first hidden layer, so
     ``len(layers) == len(arch) - 1``); then ``head_W`` and ``head_b``.  Write
     through them (``params.head_W[:] = ...``): reassigning a view detaches it.
+    Raises ValueError unless ``_blocks`` accepts ``arch``, ``theta`` has its
+    length and ``0 < c_eno < 0.5``, the range in which ``eno_filter`` is sound.
     """
 
     theta: np.ndarray
@@ -107,6 +117,8 @@ class NetParams:
     c_eno: float = C_ENO_DEFAULT
 
     def __post_init__(self):
+        if not 0.0 < self.c_eno < 0.5:  # NaN fails too
+            raise ValueError(f"c_eno {self.c_eno!r} is not in (0, 0.5)")
         theta = self.theta = np.ascontiguousarray(self.theta, dtype=float)
         arch = self.arch = tuple(self.arch)
         at = _slices(arch)
@@ -345,32 +357,19 @@ def backward(params: NetParams, tape: list, d_weights) -> np.ndarray:
     return grad
 
 
-def _eno_w0(w0, w1, c_eno: float):
-    """``eno_filter``'s rule on the weight columns: the filtered w0, a new array."""
-    lo, hi = w0 < c_eno, w1 < c_eno
-    if np.any(lo & hi):
-        raise ValueError(f"eno_filter received a row with no weight >= {c_eno}")
-    hi |= 1.0 - w0 < c_eno
-    w0 = np.where(hi, 1.0, w0)
-    np.copyto(w0, 0.0, where=lo)
-    return w0
-
-
-def eno_filter(weights, c_eno: float = C_ENO_DEFAULT):
-    """Hard-threshold a 2-way weight pair onto the convex line ``w1 = 1 - w0``.
+def eno_filter(w0, w1, c_eno: float):
+    """The weight pair's filtered ``w0``, a new array; the filtered pair is ``(w0, 1 - w0)``.
 
     ``w0`` becomes 0 if it is below ``c_eno`` and 1 if ``w1`` or ``1 - w0`` is
-    below ``c_eno``; the result is ``(w0, 1 - w0)``.  Every output weight is
-    therefore 0 or at least ``c_eno``, so a second pass returns the same bits.
-    Raises ValueError if the last axis is not 2 or a row has both weights
-    below ``c_eno``.  A NaN pair, as ``forward`` gives for a diverged state,
-    comes out NaN so that the solver's finiteness check reports it.
+    below ``c_eno``.  Every filtered weight is therefore 0 or at least
+    ``c_eno``, so a second pass returns the same bits.  A softmax pair has a
+    weight of at least 0.5 > ``c_eno``, so at most one of the two rules
+    applies.  A NaN pair, as ``forward`` gives for a diverged state, comes out
+    NaN so that the solver's finiteness check reports it.
     """
-    w = np.asarray(weights, dtype=float)
-    if w.shape[-1:] != (2,):
-        raise ValueError(f"eno_filter needs weight pairs, got shape {w.shape}")
-    w0 = _eno_w0(w[..., 0], w[..., 1], c_eno)
-    return np.stack([w0, 1.0 - w0], axis=-1)
+    w0 = np.where((w1 < c_eno) | (1.0 - w0 < c_eno), 1.0, w0)
+    np.copyto(w0, 0.0, where=w0 < c_eno)
+    return w0
 
 
 def nn_reconstruct(params: NetParams, stencils):
@@ -398,11 +397,11 @@ class NNScheme(Scheme3):
         flat = (um1 == u0) & (u0 == up1) & (np.abs(u0) < 2.0**1023)
         if not flat.any():
             w = forward(self.params, rows)
-            w0 = _eno_w0(w[:, 0], w[:, 1], self.params.c_eno)
+            w0 = eno_filter(w[:, 0], w[:, 1], self.params.c_eno)
         else:
             live = np.flatnonzero(~flat)
             w = forward(self.params, rows[np.append(live, np.argmax(flat))])
-            w0_rows = _eno_w0(w[:, 0], w[:, 1], self.params.c_eno)
+            w0_rows = eno_filter(w[:, 0], w[:, 1], self.params.c_eno)
             w0 = np.full(len(rows), w0_rows[-1])
             w0[live] = w0_rows[:-1]
         w0 = w0.reshape(lead)
@@ -413,8 +412,6 @@ def init_params(
     arch: tuple[int, ...] = DEFAULT_ARCH, *, rng: np.random.Generator
 ) -> NetParams:
     """ReLU-approximant rationals everywhere, LeCun-normal dense weights, zero biases."""
-    if arch[0] != FEATURE_COUNT:
-        raise ValueError(f"first hidden width must be {FEATURE_COUNT}, got {arch[0]}")
     at, relu = _slices(tuple(arch)), {"p": RELU_P, "q": RELU_Q}
     theta = np.zeros(at["head", "b"].stop)
     for path, s in at.items():  # every rational starts at RELU_P/RELU_Q, the rest at 0
@@ -554,15 +551,14 @@ def _params_from_doc(doc) -> NetParams:
         )
     arch = _field(doc, "arch")
     # a JSON number is an int or a float, never a bool; an integral float counts
-    if not (isinstance(arch, list) and arch[:1] == [FEATURE_COUNT]
+    if not (isinstance(arch, list)
             and all(type(n) in (int, float) and n % 1 == 0 for n in arch)):
-        raise ValueError(f"invalid weight file: field 'arch' {arch!r} is not a list "
-                         f"of integers starting with {FEATURE_COUNT}")
+        raise ValueError(f"invalid weight file: field 'arch' {arch!r} is not a list of integers")
     arch = tuple(int(n) for n in arch)
+    _blocks(arch)  # raises on an out-of-range arch before len(arch) is read
     c_eno = _field(doc, "c_eno")
-    if not (type(c_eno) in (int, float) and 0.0 < c_eno < 0.5):
-        raise ValueError(f"invalid weight file: field 'c_eno' {c_eno!r} is not a number "
-                         "in (0, 0.5)")
+    if type(c_eno) not in (int, float):
+        raise ValueError(f"invalid weight file: field 'c_eno' {c_eno!r} is not a number")
     for name, n in (("feat", FEATURE_COUNT), ("layers", len(arch) - 1)):
         if len(_field(doc, name)) != n:
             raise ValueError(f"invalid weight file: field '{name}' needs {n} entries")

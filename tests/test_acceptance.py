@@ -279,10 +279,8 @@ def test_criterion_9_invariance_suite(selected):
         conv_worst = max(conv_worst, float(-min(w0.min(), w1.min(), 0.0)))
     w_nn = rn.forward(model.params, s)
     conv_worst = max(conv_worst, float(np.max(np.abs(w_nn.sum(axis=1) - 1.0))))
-    filtered = rn.eno_filter(w_nn, model.params.c_eno)
-    idempotent = np.array_equal(
-        rn.eno_filter(filtered, model.params.c_eno), filtered
-    )
+    w0, w1 = nn_scheme.weights(s)
+    idempotent = np.array_equal(rn.eno_filter(w0, w1, model.params.c_eno), w0)
     prob = sv.advection_cosine(T=5.0)
     grid = sv.default_grid(prob, 128)
     mass0 = float(np.sum(sv.initial_averages(prob, grid)) * grid.dx)

@@ -458,7 +458,7 @@ def test_make_scheme_nn_roundtrip(tmp_path):
         make_scheme("nn:/nonexistent/weights.json")
 
 
-def test_solve_malformed_weight_file_exit_2(tmp_path):
+def test_solve_malformed_weight_file_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"format_version": 1, "arch": [4, 4, 4]}')
     code = run_cli(
@@ -476,6 +476,14 @@ def test_solve_malformed_weight_file_exit_2(tmp_path):
         bad.write_text(text)
         assert run_cli("solve", "--problem", "advection-cosine",
                        "--scheme", f"nn:{bad}", "--out", str(tmp_path / "x")) == 2
+    # a value out of its range is a usage error that names the field
+    doc = json.loads(rn.params_to_json(rn.init_params(rng=np.random.default_rng(0))))
+    for field, value in (("c_eno", 0.7), ("arch", [5, 4, 4])):
+        bad.write_text(json.dumps({**doc, field: value}))
+        capsys.readouterr()
+        assert run_cli("solve", "--problem", "advection-cosine",
+                       "--scheme", f"nn:{bad}", "--out", str(tmp_path / "x")) == 2
+        assert field in capsys.readouterr().err
 
 
 def test_converge_rows_and_slopes(tmp_path):

@@ -12,14 +12,13 @@ ROOT = Path(__file__).parents[1]
 
 #: Public names that nothing in the program reads, each kept for a reason of its own.
 UNREAD_PUBLIC = {
-    "wenonet.ratnet.eno_filter",  # acceptance criterion 9 checks the filter is idempotent
     "wenonet.solver.exact_solution",  # integrated by quadrature to check exact_cell_averages
 }
 
-MODULES = [
-    importlib.import_module(f"wenonet.{info.name}")
+MODULES = {
+    info.name: importlib.import_module(f"wenonet.{info.name}")
     for info in pkgutil.iter_modules(wenonet.__path__)
-]
+}
 
 
 def _public_names(mod) -> set[str]:
@@ -38,28 +37,64 @@ def _public_names(mod) -> set[str]:
     return {name for name in names if not name.startswith("_")}
 
 
-def _names_read() -> set[str]:
-    """Every name a Name or Attribute loads, or a ``from`` import brings in, under
-    ``src/wenonet``, ``bench`` and ``demos``."""
+def _module_of(node, aliases: dict[str, str]) -> str | None:
+    """The module that the expression ``node`` stands for, if it is one of ``MODULES``:
+    a name bound to it, or an attribute chain ending in its name (``self.wn.train``)."""
+    if isinstance(node, ast.Name):
+        return aliases.get(node.id)
+    if isinstance(node, ast.Attribute) and node.attr in MODULES:
+        return node.attr
+    return None
+
+
+def _reads(tree, own: str | None) -> set[tuple[str, str]]:
+    """Each ``(module, name)`` that the file ``tree`` reads: ``from`` imports of a
+    module, ``x.name`` where ``x`` stands for a module, and, when the file holds
+    module ``own``, its bare names."""
+    aliases, read = {}, set()
+    package = [(1, None), (0, "wenonet")]  # ``from . import m`` and ``from wenonet import m``
+    for node in ast.walk(tree):  # the names bound to a module: imports first
+        if isinstance(node, ast.ImportFrom) and (node.level, node.module) in package:
+            aliases.update((a.asname or a.name, a.name) for a in node.names if a.name in MODULES)
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.asname and a.name.removeprefix("wenonet.") in MODULES:
+                    aliases[a.asname] = a.name.removeprefix("wenonet.")
+    for node in ast.walk(tree):  # then plain assignments such as ``tr = self.wn.train``
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target, module = node.targets[0], _module_of(node.value, aliases)
+            if isinstance(target, ast.Name) and module:
+                aliases[target.id] = module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            module = node.module if node.level == 1 else node.module.removeprefix("wenonet.")
+            if module in MODULES:
+                read.update((module, a.name) for a in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            module = _module_of(node.value, aliases)
+            if module:
+                read.add((module, node.attr))
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and own:
+            read.add((own, node.id))
+    return read
+
+
+def _names_read() -> set[tuple[str, str]]:
+    """Each ``(module, name)`` read under ``src/wenonet``, ``bench`` and ``demos``."""
     read = set()
     for folder in ("src/wenonet", "bench", "demos"):
         for path in (ROOT / folder).rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    read.add(node.id)
-                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                    read.add(node.attr)
-                elif isinstance(node, ast.ImportFrom):
-                    read.update(alias.name for alias in node.names)
+            own = path.stem if folder == "src/wenonet" and path.stem in MODULES else None
+            read |= _reads(ast.parse(path.read_text()), own)
     return read
 
 
 def test_every_public_name_is_read_by_the_program():
     read = _names_read()
     unread = {
-        f"{mod.__name__}.{name}"
-        for mod in MODULES
+        f"wenonet.{module}.{name}"
+        for module, mod in MODULES.items()
         for name in _public_names(mod)
-        if name not in read
+        if (module, name) not in read
     }
     assert unread == UNREAD_PUBLIC

@@ -204,6 +204,7 @@ def test_dataset_csv_roundtrip(tmp_path):
     [(3, 3, "nan", "line 5 has a non-finite value"),
      (0, 1, "-inf", "line 2 has a non-finite value"),
      (7, 4, "16.7", "line 9 has non-integral nx 16.7"),
+     (5, 4, "0", "line 7 has nx 0, below the smallest grid size 4"),
      (2, None, "", "line 4 is blank or a comment"),
      (2, None, "# note", "line 4 is blank or a comment")],
 )

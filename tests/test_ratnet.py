@@ -68,6 +68,7 @@ def test_forward_softmax_range_and_normalization():
         w = rn.forward(params, s)
         assert np.all((w > 0.0) & (w < 1.0))
         assert np.max(np.abs(w.sum(axis=1) - 1.0)) < 1e-12
+        assert np.all(w.max(axis=1) >= 0.5)  # so no row has both weights below c_eno < 0.5
 
 
 def test_forward_uniform_with_zero_head():
@@ -371,10 +372,11 @@ def test_stencils_need_a_last_axis_of_three(shape):
 
 
 def test_eno_filter_examples():
-    assert np.array_equal(rn.eno_filter([0.5, 0.5]), [0.5, 0.5])
-    assert np.array_equal(rn.eno_filter([1e-4, 1.0 - 1e-4]), [0.0, 1.0])
-    boundary = np.array([2e-4, 1.0 - 2e-4])
-    assert np.array_equal(rn.eno_filter(boundary), boundary)  # >= keeps the value
+    c = rn.C_ENO_DEFAULT
+    assert rn.eno_filter(0.5, 0.5, c) == 0.5
+    assert rn.eno_filter(1e-4, 1.0 - 1e-4, c) == 0.0
+    assert rn.eno_filter(1.0 - 1e-4, 1e-4, c) == 1.0
+    assert rn.eno_filter(2e-4, 1.0 - 2e-4, c) == 2e-4  # >= keeps the value
 
 
 def test_eno_filter_idempotent():
@@ -396,22 +398,27 @@ def test_eno_filter_idempotent():
         )
         for seed in range(5)
     ]
+    c = rn.C_ENO_DEFAULT
     for w in [uniform, edge, *nets]:
-        once = rn.eno_filter(w)
-        assert np.array_equal(rn.eno_filter(once), once)
-        assert np.max(np.abs(once.sum(axis=-1) - 1.0)) <= 1e-12
-        assert np.all((once == 0.0) | (once >= rn.C_ENO_DEFAULT))
-    assert np.array_equal(rn.eno_filter(edge[0]), [w0, 1.0 - w0])
+        once = rn.eno_filter(w[:, 0], w[:, 1], c)
+        assert np.array_equal(rn.eno_filter(once, 1.0 - once, c), once)
+        pair = np.stack([once, 1.0 - once])
+        assert np.all((pair == 0.0) | (pair >= c))
+    assert rn.eno_filter(*edge[0], c) == w0
 
 
-def test_eno_filter_rejects_invalid_rows_and_passes_nan():
-    with pytest.raises(ValueError, match="no weight"):
-        rn.eno_filter([[0.5, 0.5], [1e-5, 1e-5]])
-    assert np.all(np.isnan(rn.eno_filter([np.nan, np.nan])))
-    with pytest.raises(ValueError, match="pairs"):
-        rn.eno_filter([0.2, 0.3, 0.5])
-    with pytest.raises(ValueError, match="pairs"):
-        rn.eno_filter(np.full((4, 3), 1.0 / 3.0))
+def test_invariants_of_c_eno_and_arch_are_checked_where_they_are_stored():
+    theta = rn.params_to_vector(random_params(0))
+    for c_eno in (0.0, -1e-3, 0.5, 0.7, np.nan, np.inf):
+        with pytest.raises(ValueError, match="c_eno"):
+            rn.vector_to_params(theta, rn.DEFAULT_ARCH, c_eno)
+    # theta has the length each block table would give, so only arch is at fault
+    for arch, n in (((5, 4), 69), ((4, 0), 37)):
+        with pytest.raises(ValueError, match="arch"):
+            rn.NetParams(np.zeros(n), arch)
+        with pytest.raises(ValueError, match="arch"):
+            rn.init_params(arch, rng=np.random.default_rng(0))
+    assert np.isnan(rn.eno_filter(np.nan, np.nan, rn.C_ENO_DEFAULT))
 
 
 def test_nn_reconstruct_constant_and_convex_hull():
@@ -440,9 +447,10 @@ def test_nn_reconstruct_shift_equivariance():
 def whole_batch_reference(params, stencils):
     """``nn_reconstruct`` as one formula on the whole batch: forward, filter, combine."""
     s = np.asarray(stencils, dtype=float)
-    w = rn.eno_filter(rn.forward(params, s), params.c_eno)
+    w = rn.forward(params, s)
+    w0 = rn.eno_filter(w[..., 0], w[..., 1], params.c_eno)
     i0, i1 = interpolants3(s[..., 0], s[..., 1], s[..., 2])
-    return w[..., 0] * i0 + w[..., 1] * i1
+    return w0 * i0 + (1.0 - w0) * i1
 
 
 def same_bits(a, b):
@@ -704,6 +712,12 @@ def test_weight_file_validation_names_first_bad_field(tmp_path):
         doc = json.loads(text)
         doc[field] = value
         with pytest.raises(ValueError, match=f"field '{field}'"):
+            rn.params_from_json(json.dumps(doc))
+    # out-of-range values are refused where they are interpreted, naming the field
+    for field, value in (("c_eno", 0.7), ("c_eno", 0), ("arch", [5, 4, 4]), ("arch", [4, 0])):
+        doc = json.loads(text)
+        doc[field] = value
+        with pytest.raises(ValueError, match=field):
             rn.params_from_json(json.dumps(doc))
     doc = json.loads(text)
     doc["arch"] = [4.0, 4, 4.0]  # integral floats are integers, as in a config file

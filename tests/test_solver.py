@@ -483,5 +483,5 @@ def test_run_reports_nan_abort():
             return out * out  # overflows to inf immediately
 
     prob = sv.advection_cosine(T=1.0)
-    with pytest.raises(RuntimeError, match="step 1"):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RuntimeError, match="step 1"):
         sv.run(prob, sv.default_grid(prob, 16), Explode())

@@ -227,7 +227,7 @@ def test_convergence_order_excludes_nonpositive_with_warning():
     with pytest.warns(UserWarning, match="excluded"):
         slope = an.convergence_order([(16, 1e-2), (32, 1.25e-3), (64, 0.0)])
     assert slope == pytest.approx(3.0)
-    with pytest.raises(ValueError):
+    with pytest.warns(UserWarning, match="excluded"), pytest.raises(ValueError):
         an.convergence_order([(16, 0.0), (32, 0.0), (64, 1.0)])
 
 
