@@ -186,25 +186,29 @@ class _ScorecardRow:
     band_below_js: bool
 
 
+def _l1(problem, scheme, nx: int = SCORECARD_NX) -> float:
+    return run(problem, default_grid(problem, nx), scheme).final_error
+
+
+def _dissipation(scheme) -> list[float]:
+    return [p.dissipation for p in adr(scheme, default_kappa_grid(), DEFAULT_ADR_NX)]
+
+
 def _measure(scheme) -> tuple[dict, list[float]]:
     """A scheme's name and own figures, and its dissipation on each ADR mode."""
-
-    def solve(problem):
-        return run(problem, default_grid(problem, SCORECARD_NX), scheme)
-
     coarse = convergence_study([scheme], advection_sigmoid(), SCORECARD_SIGMOID_NX)[0]
     shock_problem = burgers_riemann(1.0, 0.0)
-    shock = solve(shock_problem)
+    shock = run(shock_problem, default_grid(shock_problem, SCORECARD_NX), scheme)
     u, (u_l, u_r) = shock.final_state, shock_problem.riemann
-    curve = [p.dissipation for p in adr(scheme, default_kappa_grid(), DEFAULT_ADR_NX)]
+    curve = _dissipation(scheme)
     return {
         "scheme": scheme.name,
-        "cosine_l1": solve(advection_cosine()).final_error,
+        "cosine_l1": _l1(advection_cosine(), scheme),
         "sigmoid_slope": coarse.slope,
         "sigmoid_coarse_l1": coarse.error,
         "shock_overshoot": max(float(u.max() - max(u_l, u_r)), float(min(u_l, u_r) - u.min())),
         "shock_l1": shock.final_error,
-        "transonic_l1": solve(burgers_riemann(-1.0, 1.0)).final_error,
+        "transonic_l1": _l1(burgers_riemann(-1.0, 1.0), scheme),
         "max_dissipation": max(curve),
     }, curve
 
@@ -212,28 +216,29 @@ def _measure(scheme) -> tuple[dict, list[float]]:
 def scorecard(schemes) -> list[_ScorecardRow]:
     """Downstream figures at the SCORECARD_* settings, one row per scheme in order.
 
-    Ratios divide by WENO3-JS's figure, or WENO5-JS's for the transonic one;
-    these references are measured once, or read from ``schemes`` by name.
+    Ratios divide by WENO3-JS's figure, or WENO5-JS's for the transonic one: four
+    reference figures, measured on each call, also when a reference has a row.
     ``band_below_js``: |dissipation| under WENO3-JS's on each mode in SCORECARD_BAND.
     """
     schemes = list(schemes)
     names = [s.name for s in schemes]
     if len(set(names)) < len(names):
         raise ValueError(f"a scheme name appears twice in the scorecard: {names}")
-    references = [r for r in (Weno3JS(), Weno5JS()) if r.name not in names]
-    measured = {s.name: _measure(s) for s in schemes + references}
-    (js, js_curve), (w5, _) = measured["weno3-js"], measured["weno5-js"]
+    js_cosine = _l1(advection_cosine(), Weno3JS())
+    js_sigmoid_coarse = _l1(advection_sigmoid(), Weno3JS(), SCORECARD_SIGMOID_NX[0])
+    js_curve = _dissipation(Weno3JS())
+    w5_transonic = _l1(burgers_riemann(-1.0, 1.0), Weno5JS())
     lo, hi = SCORECARD_BAND
     band = [i for i, k in enumerate(default_kappa_grid()) if lo <= k <= hi]
     return [
         _ScorecardRow(
-            cosine_ratio=figures["cosine_l1"] / js["cosine_l1"],
-            sigmoid_coarse_ratio=figures["sigmoid_coarse_l1"] / js["sigmoid_coarse_l1"],
-            transonic_ratio=figures["transonic_l1"] / w5["transonic_l1"],
+            cosine_ratio=figures["cosine_l1"] / js_cosine,
+            sigmoid_coarse_ratio=figures["sigmoid_coarse_l1"] / js_sigmoid_coarse,
+            transonic_ratio=figures["transonic_l1"] / w5_transonic,
             band_below_js=all(abs(curve[i]) < abs(js_curve[i]) for i in band),
             **figures,
         )
-        for figures, curve in map(measured.get, names)
+        for figures, curve in map(_measure, schemes)
     ]
 
 

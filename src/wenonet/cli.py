@@ -53,9 +53,11 @@ def make_scheme(name: str):
         return CLASSICAL_SCHEMES[name]()
     if name.startswith("nn:"):
         path = Path(name[3:])
-        if not path.exists():
-            raise ValueError(f"weight file {path} does not exist")
-        return NNScheme(load_params(path), name=f"nn:{path.stem}")
+        try:
+            params = load_params(path)
+        except (ValueError, OSError) as e:  # missing, unreadable, malformed or out of range
+            raise ValueError(f"weight file {path}: {e}") from e
+        return NNScheme(params, name=f"nn:{path.stem}")
     valid = ", ".join(sorted(CLASSICAL_SCHEMES) + ["nn:<weights-path>"])
     raise ValueError(f"unknown scheme {name!r}; valid schemes: {valid}")
 
@@ -89,6 +91,13 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _real(value) -> float:
+    """A config real: a JSON number; booleans and strings raise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _list_of(cast):
     """Cast of a JSON list whose items each go through ``cast``."""
 
@@ -107,17 +116,20 @@ DATASET_KEYS = {"nx_values": _list_of(_integer), "pairs_per_grid": _integer, "se
 RUN_KEYS = dict.fromkeys(("total_steps", "batch_size", "warmup_steps", "seed"), _integer)
 MODEL_KEYS = {
     **RUN_KEYS,
-    "peak_lr": float,
-    **dict.fromkeys(_LOSS_KEYS, float),
+    "peak_lr": _real,
+    **dict.fromkeys(_LOSS_KEYS, _real),
     "criterion": lambda v: _choice(v, train.SELECTION_CRITERIA, "criterion"),
 }
-SWEEP_KEYS = dict.fromkeys(("alphas", "beta_ds", "peak_lrs"), _list_of(float))
+SWEEP_KEYS = dict.fromkeys(("alphas", "beta_ds", "peak_lrs"), _list_of(_real))
 
 
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as e:
+        raise ValueError(f"config file {path} is not valid JSON ({e})") from e
     if not isinstance(doc, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
     return doc

@@ -520,12 +520,15 @@ def _field(doc: dict, name: str):
 
 
 def _real_array(value, shape: tuple[int, ...], name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
+    arr = np.asarray(value, dtype=object)
     if arr.shape != shape:
         raise ValueError(
             f"invalid weight file: field '{name}' has shape {arr.shape}, "
             f"expected {shape}"
         )
+    if not all(type(v) in (int, float) for v in arr.flat):  # JSON numbers, never bools
+        raise ValueError(f"invalid weight file: field '{name}' has an entry that is not a number")
+    arr = arr.astype(float)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"invalid weight file: field '{name}' has non-finite entries")
     return arr

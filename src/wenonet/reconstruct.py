@@ -1,9 +1,9 @@
 """Classical face reconstructions from cell averages.
 
-All kernels return the minus-side (left-biased) value at face i+1/2 from the
-upwind-ordered stencil; the plus side is always obtained by mirroring the
-stencil, never from separate coefficient tables.  Inputs may be scalars or
-arrays of stencils.
+Each scheme's ``face_value`` maps upwind-ordered windows, a float array whose
+last axis is the stencil (one window or any stack of them), to the minus-side
+(left-biased) value at face i+1/2; the plus side is always obtained by
+mirroring the stencil, never from separate coefficient tables.
 """
 
 from __future__ import annotations
@@ -28,28 +28,6 @@ def interpolants3(um1, u0, up1):
 def smoothness3(um1, u0, up1):
     """Squared one-sided differences for the two sub-stencils."""
     return (u0 - um1) ** 2, (u0 - up1) ** 2
-
-
-def quick(um1, u0, up1):
-    """QUICK face value in upwind cell-average form."""
-    return (3.0 * up1 + 6.0 * u0 - um1) / 8.0
-
-
-def weno5_js(um2, um1, u0, up1, up2):
-    """Fifth-order WENO face value (Jiang-Shu smoothness indicators)."""
-    q0 = (2.0 * um2 - 7.0 * um1 + 11.0 * u0) / 6.0
-    q1 = (-um1 + 5.0 * u0 + 2.0 * up1) / 6.0
-    q2 = (2.0 * u0 + 5.0 * up1 - up2) / 6.0
-
-    b0 = 13.0 / 12.0 * (um2 - 2.0 * um1 + u0) ** 2 + 0.25 * (um2 - 4.0 * um1 + 3.0 * u0) ** 2
-    b1 = 13.0 / 12.0 * (um1 - 2.0 * u0 + up1) ** 2 + 0.25 * (um1 - up1) ** 2
-    b2 = 13.0 / 12.0 * (u0 - 2.0 * up1 + up2) ** 2 + 0.25 * (3.0 * u0 - 4.0 * up1 + up2) ** 2
-
-    a0 = IDEAL_WEIGHTS5[0] / (b0 + EPS_DEFAULT) ** 2
-    a1 = IDEAL_WEIGHTS5[1] / (b1 + EPS_DEFAULT) ** 2
-    a2 = IDEAL_WEIGHTS5[2] / (b2 + EPS_DEFAULT) ** 2
-    s = a0 + a1 + a2
-    return (a0 * q0 + a1 * q1 + a2 * q2) / s
 
 
 def _windows(windows, width: int) -> np.ndarray:
@@ -116,13 +94,29 @@ class Quick:
 
     def face_value(self, windows):
         w = _windows(windows, 3)
-        return quick(w[..., 0], w[..., 1], w[..., 2])
+        um1, u0, up1 = w[..., 0], w[..., 1], w[..., 2]
+        return (3.0 * up1 + 6.0 * u0 - um1) / 8.0
 
 
 class Weno5JS:
+    """Fifth-order WENO with the Jiang-Shu smoothness indicators."""
+
     name = "weno5-js"
     width = 5
 
     def face_value(self, windows):
         w = _windows(windows, 5)
-        return weno5_js(w[..., 0], w[..., 1], w[..., 2], w[..., 3], w[..., 4])
+        um2, um1, u0, up1, up2 = w[..., 0], w[..., 1], w[..., 2], w[..., 3], w[..., 4]
+        q0 = (2.0 * um2 - 7.0 * um1 + 11.0 * u0) / 6.0
+        q1 = (-um1 + 5.0 * u0 + 2.0 * up1) / 6.0
+        q2 = (2.0 * u0 + 5.0 * up1 - up2) / 6.0
+
+        b0 = 13.0 / 12.0 * (um2 - 2.0 * um1 + u0) ** 2 + 0.25 * (um2 - 4.0 * um1 + 3.0 * u0) ** 2
+        b1 = 13.0 / 12.0 * (um1 - 2.0 * u0 + up1) ** 2 + 0.25 * (um1 - up1) ** 2
+        b2 = 13.0 / 12.0 * (u0 - 2.0 * up1 + up2) ** 2 + 0.25 * (3.0 * u0 - 4.0 * up1 + up2) ** 2
+
+        a0 = IDEAL_WEIGHTS5[0] / (b0 + EPS_DEFAULT) ** 2
+        a1 = IDEAL_WEIGHTS5[1] / (b1 + EPS_DEFAULT) ** 2
+        a2 = IDEAL_WEIGHTS5[2] / (b2 + EPS_DEFAULT) ** 2
+        s = a0 + a1 + a2
+        return (a0 * q0 + a1 * q1 + a2 * q2) / s

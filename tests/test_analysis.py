@@ -142,6 +142,27 @@ def test_scorecard_rows_ratios_and_pinned_figures(tmp_path):
     assert back == [vars(r) for r in rows] and back[0]["band_below_js"] is False
 
 
+def test_scorecard_measures_only_the_reference_figures_it_reads(monkeypatch):
+    solved, analysed = [], []
+
+    def fake_run(problem, grid, scheme):
+        solved.append((scheme.name, problem.init, grid.nx))
+        return sv.SolveReport(np.zeros(1), np.zeros(grid.nx), 1.0)
+
+    def fake_adr(scheme, kappa_dx_list, nx=an.DEFAULT_ADR_NX):
+        analysed.append(scheme.name)
+        return [an.ADRPoint(k, k, 0.0, 0.0) for k in kappa_dx_list]
+
+    monkeypatch.setattr(an, "run", fake_run)
+    monkeypatch.setattr(an, "adr", fake_adr)
+    an.scorecard([IdealWeights3()])
+    assert [s for s in solved if s[0] == "weno5-js"] == [("weno5-js", "riemann", 256)]
+    assert sorted(s for s in solved if s[0] == "weno3-js") == [
+        ("weno3-js", "cosine", 256), ("weno3-js", "sigmoid", 64)
+    ]
+    assert analysed.count("weno3-js") == 1 and "weno5-js" not in analysed
+
+
 def test_scorecard_rejects_a_repeated_name():
     with pytest.raises(ValueError, match="appears twice"):
         an.scorecard([Weno3JS(), Weno3Z(), Weno3JS()])

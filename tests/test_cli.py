@@ -46,7 +46,7 @@ def test_gen_data_byte_identical_reruns(tmp_path):
     ).read_bytes()
 
 
-def test_gen_data_bad_config_exit_2(tmp_path):
+def test_gen_data_bad_config_exit_2(tmp_path, capsys):
     code = run_cli(
         "gen-data",
         "--out", str(tmp_path / "x"),
@@ -54,6 +54,11 @@ def test_gen_data_bad_config_exit_2(tmp_path):
         "--pairs-per-grid", "100",
     )
     assert code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{not json")
+    capsys.readouterr()
+    assert run_cli("gen-data", "--config", str(cfg), "--out", str(tmp_path / "x")) == 2
+    assert f"config file {cfg}" in capsys.readouterr().err
 
 
 def test_config_value_of_wrong_type_exit_2(tmp_path, capsys):
@@ -77,6 +82,9 @@ def test_config_value_of_wrong_type_exit_2(tmp_path, capsys):
                        ({"sweep": {"alphas": 3}}, "'sweep.alphas'"),
                        ({**one, "val": {"nx_values": 3}}, "'val.nx_values'"),
                        ({"configs": [{"alpah": 5}]}, "'configs[0].alpah'"),
+                       ({"configs": [{"alpha": True}]}, "'configs[0].alpha'"),
+                       ({"configs": [{"peak_lr": "1e-3"}]}, "'configs[0].peak_lr'"),
+                       ({"sweep": {**one["sweep"], "beta_ds": [True]}}, "'sweep.beta_ds'"),
                        ({"sweep": {**one["sweep"], "alpah": [5]}}, "'sweep.alpah'"),
                        ({**one, "val": {"alpah": 5}}, "'val.alpah'")):
         cfg.write_text(json.dumps({"total_steps": 1, **doc}))
@@ -454,7 +462,7 @@ def test_make_scheme_nn_roundtrip(tmp_path):
     assert np.array_equal(
         scheme.face_value(windows), rn.nn_reconstruct(params, windows)
     )
-    with pytest.raises(ValueError, match="does not exist"):
+    with pytest.raises(ValueError, match="weight file /nonexistent/weights.json"):
         make_scheme("nn:/nonexistent/weights.json")
 
 
@@ -476,14 +484,21 @@ def test_solve_malformed_weight_file_exit_2(tmp_path, capsys):
         bad.write_text(text)
         assert run_cli("solve", "--problem", "advection-cosine",
                        "--scheme", f"nn:{bad}", "--out", str(tmp_path / "x")) == 2
-    # a value out of its range is a usage error that names the field
+    # a value out of its range, or a block entry that is not a JSON number, is a
+    # usage error that names the field and the file, also beside a good file
     doc = json.loads(rn.params_to_json(rn.init_params(rng=np.random.default_rng(0))))
-    for field, value in (("c_eno", 0.7), ("arch", [5, 4, 4])):
-        bad.write_text(json.dumps({**doc, field: value}))
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(doc))
+    for field, bad_doc in (("c_eno", {**doc, "c_eno": 0.7}), ("arch", {**doc, "arch": [5, 4, 4]}),
+                           ("head.b", {**doc, "head": {**doc["head"], "b": ["0.5", True]}})):
+        bad.write_text(json.dumps(bad_doc))
         capsys.readouterr()
         assert run_cli("solve", "--problem", "advection-cosine",
                        "--scheme", f"nn:{bad}", "--out", str(tmp_path / "x")) == 2
         assert field in capsys.readouterr().err
+        assert run_cli("converge", "--problem", "recon-sin3", "--schemes", f"nn:{good},nn:{bad}",
+                       "--nx-list", "16,32,64", "--out", str(tmp_path / "c")) == 2
+        assert f"weight file {bad}:" in capsys.readouterr().err
 
 
 def test_converge_rows_and_slopes(tmp_path):

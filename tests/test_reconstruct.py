@@ -121,14 +121,16 @@ def test_spec_quadratic_example_unit_cells():
 
 
 def test_quick_examples():
-    assert rc.quick(1.0, 1.0, 1.0) == 1.0
-    assert rc.quick(0.0, 1.0, 2.0) == 1.5
-    assert rc.quick(0.0, 1.0, 3.0) == 1.875
+    quick = rc.Quick()
+    assert quick.face_value([1.0, 1.0, 1.0]) == 1.0
+    assert quick.face_value([0.0, 1.0, 2.0]) == 1.5
+    assert quick.face_value([0.0, 1.0, 3.0]) == 1.875
 
 
 def test_weno5_examples():
-    assert rc.weno5_js(3.0, 3.0, 3.0, 3.0, 3.0) == pytest.approx(3.0, abs=1e-14)
-    assert rc.weno5_js(-2.0, -1.0, 0.0, 1.0, 2.0) == pytest.approx(0.5, abs=1e-14)
+    weno5 = rc.Weno5JS()
+    assert weno5.face_value([3.0, 3.0, 3.0, 3.0, 3.0]) == pytest.approx(3.0, abs=1e-14)
+    assert weno5.face_value([-2.0, -1.0, 0.0, 1.0, 2.0]) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_weno5_fifth_order_on_quartic():
@@ -140,7 +142,7 @@ def test_weno5_fifth_order_on_quartic():
         edges = 1.0 + dx * np.arange(-2, 4)  # five cells around x = 1
         avg = np.diff(edges**5 / 5.0) / dx
         face = edges[3]
-        errs.append(abs(rc.weno5_js(*avg) - face**4))
+        errs.append(abs(rc.Weno5JS().face_value(avg) - face**4))
     slope = np.polyfit(np.log(dxs), np.log(errs), 1)[0]
     assert slope >= 4.5
 
@@ -158,8 +160,7 @@ def test_shift_invariance_of_weights_and_values(scheme):
 
 def test_quick_shift_invariance():
     s = dyadic_stencils(300)
-    v = rc.quick(s[:, 0], s[:, 1], s[:, 2])
-    vs = rc.quick(s[:, 0] + 2.0, s[:, 1] + 2.0, s[:, 2] + 2.0)
+    v, vs = rc.Quick().face_value(s), rc.Quick().face_value(s + 2.0)
     assert np.allclose(vs, v + 2.0, rtol=0, atol=1e-12)
 
 
