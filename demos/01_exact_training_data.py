@@ -7,6 +7,9 @@ value at the face between the middle and right cell.  Both come from closed
 forms, so there is no quadrature error anywhere in the pipeline.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from wenonet import funcspace as fs
@@ -40,6 +43,7 @@ assert np.all(ds.target >= ds.ubar.min(axis=1))
 assert np.all(ds.target <= ds.ubar.max(axis=1))
 
 # Writing and re-reading the CSV is lossless (17 significant digits).
-ds.save_csv("/tmp/demo_dataset.csv")
-again = fs.Dataset.load_csv("/tmp/demo_dataset.csv")
+with tempfile.TemporaryDirectory() as tmp:
+    ds.save_csv(Path(tmp) / "dataset.csv")
+    again = fs.Dataset.load_csv(Path(tmp) / "dataset.csv")
 print("csv round trip exact:", np.array_equal(ds.target, again.target))

@@ -12,6 +12,9 @@ This demo uses a reduced budget so it finishes in about a minute; the
 benchmark configuration in the README trains longer.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from wenonet import funcspace as fs
@@ -51,7 +54,8 @@ print()
 print(rn.accounting_report(model.params))
 
 # Weights round-trip through a self-describing JSON file.
-rn.save_params(model.params, "/tmp/demo_weights.json")
-back = rn.load_params("/tmp/demo_weights.json")
+with tempfile.TemporaryDirectory() as tmp:
+    rn.save_params(model.params, Path(tmp) / "weights.json")
+    back = rn.load_params(Path(tmp) / "weights.json")
 print("\nweight file round trip exact:",
       np.array_equal(rn.params_to_vector(model.params), rn.params_to_vector(back)))

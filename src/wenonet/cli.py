@@ -163,7 +163,7 @@ def _section(raw, keys: dict, where: str, args=None) -> dict:
         name = f"{where}.{key}" if where else key
         try:
             out[key] = cast(raw[key] if flag is None else flag)
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:  # overflow: a huge JSON integer
             raise ValueError(f"config field {name!r} has the wrong type or value ({e})") from e
     return out
 

@@ -81,8 +81,8 @@ class _Family(NamedTuple):
 #: the periodic advection initial conditions.
 _FAMILIES = {
     "polynomial": _Family((-1.0, 1.0),
-                          _polyval,
-                          lambda x, p: _polyval(x, _polyint(p)),
+                          lambda x, p: _polyval(x, p, tensor=False),
+                          lambda x, p: _polyval(x, _polyint(p), tensor=False),
                           lambda rng: tuple(rng.uniform(-1.0, 1.0, size=4))),
     "step": _Family((0.0, 1.0),
                     lambda x, p: np.where(x <= JUMP_X, p[0], p[1]),
@@ -262,13 +262,23 @@ def cell_average(spec: FunctionSpec, lo: float, hi: float) -> float:
     return spec.integral(lo, hi) / (hi - lo)
 
 
+def _on_cells(family: str, params, nx: int, averages: bool) -> np.ndarray:
+    """Exact cell averages, or right-face values, on nx uniform cells.
+
+    ``params`` is one instance's tuple, or k instances' stacked as (k, 1)
+    columns, which gives (k, nx) rows with the bits of k one-instance calls.
+    """
+    fam = _FAMILIES[family]
+    a, b = fam.domain
+    dx = (b - a) / nx
+    if averages:
+        return np.diff(fam.antiderivative(a + dx * np.arange(nx + 1), params)) / dx
+    return np.asarray(fam.value(a + dx * np.arange(1, nx + 1), params), dtype=float)
+
+
 def discretize(spec: FunctionSpec, nx: int) -> np.ndarray:
     """Exact cell averages of ``spec`` on nx uniform cells over its domain."""
-    a, b = spec.domain
-    dx = (b - a) / nx
-    edges = a + dx * np.arange(nx + 1)
-    anti = spec.antiderivative(edges)
-    return np.diff(anti) / dx
+    return _on_cells(spec.family, spec.params, nx, averages=True)
 
 
 def face_targets(spec: FunctionSpec, nx: int) -> np.ndarray:
@@ -277,10 +287,7 @@ def face_targets(spec: FunctionSpec, nx: int) -> np.ndarray:
     Face i sits at ``a + (i+1)*dx``; the last one coincides with the right
     domain boundary, whose stencil wraps around to the first cell.
     """
-    a, b = spec.domain
-    dx = (b - a) / nx
-    faces = a + dx * np.arange(1, nx + 1)
-    return np.asarray(spec.value(faces), dtype=float)
+    return _on_cells(spec.family, spec.params, nx, averages=False)
 
 
 def build_dataset(cfg: DatasetConfig) -> Dataset:
@@ -290,24 +297,28 @@ def build_dataset(cfg: DatasetConfig) -> Dataset:
     drawn, each contributing one pair per face (periodic wrap), so every grid
     size is equally represented.  Targets are clipped into the convex hull of
     their stencil.  The result is bit-reproducible from ``cfg.seed``; each
-    function instance owns Philox stream ``(seed, instance_index)``.
+    function instance owns Philox stream ``(seed, instance_index)``.  Only the
+    draws are made per instance: each family on a grid is then evaluated once
+    for all of its instances, giving the bits of one instance at a time.
     """
-    stencils, targets, grids = [], [], []
+    ubar = np.empty((len(cfg.nx_values), cfg.pairs_per_grid, 3))
+    target = np.empty(ubar.shape[:2])
     stream = 0
-    for nx in cfg.nx_values:
-        n_inst = cfg.pairs_per_grid // nx
-        for _ in range(n_inst):
-            rng = philox_rng(cfg.seed, stream)
-            stream += 1
-            fam = TRAIN_FAMILIES[rng.integers(len(TRAIN_FAMILIES))]
-            spec = sample_function(fam, rng)
-            u = discretize(spec, nx)
-            t = face_targets(spec, nx)
-            s = np.stack([np.roll(u, 1), u, np.roll(u, -1)], axis=1)
-            t = np.clip(t, s.min(axis=1), s.max(axis=1))
-            stencils.append(s)
-            targets.append(t)
-            grids.append(np.full(nx, nx, dtype=np.int64))
-    return Dataset(
-        np.concatenate(stencils), np.concatenate(targets), np.concatenate(grids)
-    )
+    for g, nx in enumerate(cfg.nx_values):
+        rngs = [philox_rng(cfg.seed, stream + i) for i in range(cfg.pairs_per_grid // nx)]
+        specs = [sample_function(TRAIN_FAMILIES[r.integers(len(TRAIN_FAMILIES))], r) for r in rngs]
+        stream += len(specs)
+        averages, faces = np.empty((2, len(specs), nx))
+        for family in TRAIN_FAMILIES:
+            rows = [i for i, spec in enumerate(specs) if spec.family == family]
+            if rows:
+                params = np.array([specs[i].params for i in rows]).T[..., None]
+                averages[rows] = _on_cells(family, params, nx, averages=True)
+                faces[rows] = _on_cells(family, params, nx, averages=False)
+        stencils = ubar[g].reshape(len(specs), nx, 3)
+        stencils[..., 0] = np.roll(averages, 1, axis=1)
+        stencils[..., 1] = averages
+        stencils[..., 2] = np.roll(averages, -1, axis=1)
+        target[g] = np.clip(faces, stencils.min(axis=2), stencils.max(axis=2)).ravel()
+    return Dataset(ubar.reshape(-1, 3), target.ravel(),
+                   np.repeat(np.asarray(cfg.nx_values, dtype=np.int64), cfg.pairs_per_grid))

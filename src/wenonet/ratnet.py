@@ -528,7 +528,11 @@ def _real_array(value, shape: tuple[int, ...], name: str) -> np.ndarray:
         )
     if not all(type(v) in (int, float) for v in arr.flat):  # JSON numbers, never bools
         raise ValueError(f"invalid weight file: field '{name}' has an entry that is not a number")
-    arr = arr.astype(float)
+    try:
+        arr = arr.astype(float)
+    except OverflowError as e:  # a JSON integer too large for a float
+        raise ValueError(f"invalid weight file: field '{name}' has an entry too large "
+                         "for a float") from e
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"invalid weight file: field '{name}' has non-finite entries")
     return arr

@@ -188,7 +188,8 @@ def test_train_config_with_bad_rate_or_loss_weight_exit_2(tmp_path, capsys):
                        ({"configs": [{"alpha": float("nan")}]}, "finite"),
                        ({"configs": [{"beta_d": float("inf")}]}, "finite"),
                        ({"sweep": {"alphas": [0.1], "beta_ds": [0.1], "peak_lrs": [float("nan")]}},
-                        "peak_lr")):
+                        "peak_lr"),
+                       ({"configs": [{"alpha": 10**400}]}, "alpha")):  # too large for a float
         cfg.write_text(json.dumps({"total_steps": 20, **doc}))  # json writes NaN and Infinity
         code = run_cli("train", "--dataset", str(data / "dataset.csv"),
                        "--config", str(cfg), "--out", str(tmp_path / "m"))
@@ -490,7 +491,8 @@ def test_solve_malformed_weight_file_exit_2(tmp_path, capsys):
     good = tmp_path / "good.json"
     good.write_text(json.dumps(doc))
     for field, bad_doc in (("c_eno", {**doc, "c_eno": 0.7}), ("arch", {**doc, "arch": [5, 4, 4]}),
-                           ("head.b", {**doc, "head": {**doc["head"], "b": ["0.5", True]}})):
+                           ("head.b", {**doc, "head": {**doc["head"], "b": ["0.5", True]}}),
+                           ("head.b", {**doc, "head": {**doc["head"], "b": [10**400, 0.5]}})):
         bad.write_text(json.dumps(bad_doc))
         capsys.readouterr()
         assert run_cli("solve", "--problem", "advection-cosine",

@@ -28,6 +28,6 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 def test_demo_runs(tmp_path, name):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, str(DEMOS / name)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
+    argv = [sys.executable, "-W", "error", str(DEMOS / name)]  # a warning fails the demo
+    done = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

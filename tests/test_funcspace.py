@@ -179,6 +179,41 @@ def test_dataset_determinism_bit_identical():
     assert np.array_equal(a.nx, b.nx)
 
 
+#: Together these cover every training family, nx 4, odd nx, a repeated nx and
+#: the largest seed.
+ROW_CONFIGS = (
+    fs.DatasetConfig(nx_values=(4, 16), pairs_per_grid=256, seed=1),
+    fs.DatasetConfig(nx_values=(5, 7, 35), pairs_per_grid=245, seed=2),
+    fs.DatasetConfig(nx_values=(16, 8, 16), pairs_per_grid=128, seed=2**64 - 1),
+)
+
+
+def test_dataset_rows_match_one_instance_at_a_time():
+    """Every row's bits, rebuilt from its own stream and closed forms alone."""
+    families = set()
+    for cfg in ROW_CONFIGS:
+        stencils, targets, stream = [], [], 0
+        for nx in cfg.nx_values:
+            for _ in range(cfg.pairs_per_grid // nx):
+                rng = fs.philox_rng(cfg.seed, stream)
+                stream += 1
+                spec = fs.sample_function(
+                    fs.TRAIN_FAMILIES[rng.integers(len(fs.TRAIN_FAMILIES))], rng)
+                families.add(spec.family)
+                a, b = spec.domain
+                dx = (b - a) / nx
+                u = np.diff(spec.antiderivative(a + dx * np.arange(nx + 1))) / dx
+                s = np.stack([np.roll(u, 1), u, np.roll(u, -1)], axis=1)
+                t = spec.value(a + dx * np.arange(1, nx + 1))
+                stencils.append(s)
+                targets.append(np.clip(t, s.min(axis=1), s.max(axis=1)))
+        ds = fs.build_dataset(cfg)
+        assert ds.ubar.tobytes() == np.concatenate(stencils).tobytes()
+        assert ds.target.tobytes() == np.concatenate(targets).tobytes()
+        assert ds.nx.tolist() == np.repeat(cfg.nx_values, cfg.pairs_per_grid).tolist()
+    assert families == set(fs.TRAIN_FAMILIES)
+
+
 def test_dataset_targets_inside_stencil_hull():
     ds = fs.build_dataset(fs.DatasetConfig(nx_values=(16, 32, 64), pairs_per_grid=512, seed=3))
     assert np.all(ds.target >= ds.ubar.min(axis=1))

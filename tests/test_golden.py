@@ -11,7 +11,9 @@ entries before ``NetParams`` became views of one flat vector, and the dataset,
 fingerprint and last three problems' entries before ``funcspace`` became the
 only owner of the closed forms (numpy 2.4.6, OpenBLAS); the whole file runs in
 seconds.  The short training run's theta and log hashes were recorded before
-``backward`` read each rational's terms from the tape.
+``backward`` read each rational's terms from the tape.  The default training
+set's hash was recorded before ``build_dataset`` evaluated each family's
+instances in one batch.
 """
 
 import hashlib
@@ -90,10 +92,8 @@ def test_final_l1_bits(problem, scheme):
     assert final_l1(problem, scheme) == GOLDEN["final_l1"][problem][scheme]
 
 
-def dataset_bits() -> str:
-    ds = fs.build_dataset(
-        fs.DatasetConfig(nx_values=(16, 64), pairs_per_grid=1024, seed=0)
-    )
+def dataset_bits(cfg: fs.DatasetConfig) -> str:
+    ds = fs.build_dataset(cfg)
     return sha256(np.column_stack([ds.ubar, ds.target, ds.nx]))
 
 
@@ -103,7 +103,10 @@ def adr_bits(scheme: str) -> str:
 
 
 def test_dataset_bits():
-    assert dataset_bits() == GOLDEN["dataset_sha256"]
+    cfg = fs.DatasetConfig(nx_values=(16, 64), pairs_per_grid=1024, seed=0)
+    assert dataset_bits(cfg) == GOLDEN["dataset_sha256"]
+    # the default training set: 114,688 rows on seven grids
+    assert dataset_bits(fs.DatasetConfig(seed=0)) == GOLDEN["dataset_default_sha256"]
 
 
 @pytest.mark.parametrize("scheme", ("weno3-js", "nn"))
