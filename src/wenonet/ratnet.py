@@ -6,11 +6,19 @@ two-way softmax head.  At inference ``NNScheme.weights`` passes the head's
 weights through ``eno_filter``, a hard threshold at ``NetParams.c_eno`` that
 restores the essentially-non-oscillatory property.
 
-``forward`` (which can record a tape) and ``backward`` (reverse mode by hand)
-are the network's only forward and backward passes.  The tape keeps each
-rational's numerator and denominators, so ``backward`` evaluates none of them
-again, and ``backward`` sums short rows and columns with the bits of numpy's
-reductions but without their per-row cost.
+``_forward`` (which can record a tape) and ``backward`` (reverse mode by
+hand) are the network's only forward and backward passes.  ``_forward`` takes
+the (4, n) ``_deltas`` of the stencils; ``forward`` is its stencil-facing
+wrapper, and training, which gathers deltas computed once per run, calls
+``_forward`` itself.  The dense layers multiply by a contiguous copy of
+``W.T``, and the head works on its logits and softmax as contiguous (2, n)
+rows.  The tape keeps, in order, each rational's input, numerator and
+denominators (so ``backward`` evaluates none of them again), the
+normalization's output, mask and divisor, each dense layer's input, and the
+head's input, (2, n) output and batch row count, against which ``backward``
+checks its (n, 2) upstream gradient.  ``backward`` sums short rows and columns
+with the bits of numpy's reductions but without their per-row cost, and hands
+its K = n reductions their operands in the layouts whose bits it keeps.
 
 Every learnable scalar is stored once, in the flat vector ``NetParams.theta``;
 the rationals, layers and head are views of it.  The block table
@@ -217,11 +225,11 @@ def rational_features(stencils, feat):
 
 
 def _softmax(z):
-    """Two-way softmax over the last axis, one column at a time, into one result."""
-    z0, z1 = z[..., 0], z[..., 1]
+    """Two-way softmax over the first axis of (2, ...) logits, one row at a time, into one result."""
+    z0, z1 = z
     m = np.maximum(z0, z1)
     w = np.empty(z.shape)
-    e0, e1 = w[..., 0], w[..., 1]
+    e0, e1 = w
     np.exp(np.subtract(z0, m, out=e0), out=e0)
     np.exp(np.subtract(z1, m, out=e1), out=e1)
     s = e0 + e1
@@ -234,30 +242,41 @@ def forward(params: NetParams, stencils, tape: list | None = None):
     """Pre-threshold stencil weights, shape (..., 2); rows sum to one.
 
     ``stencils`` is any (..., 3) array, else ValueError; a stencil's bits do
-    not depend on that shape (one row runs twice: a one-row matmul rounds
-    differently).  Given a list as ``tape``, each stage also appends what
-    ``backward`` needs, in order: each rational's ``(x, num, den_raw, den)``
-    (the (4, n) deltas and their terms first), the normalization's output,
-    mask and divisor, each dense layer's input before its rational's entry,
-    and the head's input and output.
+    not depend on that shape.  ``tape`` is as for ``_forward``, which this
+    runs on the stencils' deltas.
     """
     rows, lead = _rows(stencils)
-    deltas = _deltas(np.repeat(rows, 2, axis=0) if len(rows) == 1 else rows)
+    return _forward(params, _deltas(rows), tape).T.reshape(*lead, 2)
+
+
+def _forward(params: NetParams, deltas, tape: list | None = None):
+    """Pre-threshold weights of (4, n) ``deltas`` as (2, n) rows that sum to one.
+
+    One row runs twice, since a one-row matmul rounds differently.  Given a
+    list as ``tape``, each stage also appends what ``backward`` needs, in
+    order: each rational's ``(x, num, den_raw, den)`` (the (4, n) deltas and
+    their terms first), the normalization's output, mask and divisor, each
+    dense layer's input before its rational's entry, and the head's input,
+    its softmax rows and the row count n.
+    """
+    n = deltas.shape[1]
+    if n == 1:
+        deltas = np.repeat(deltas, 2, axis=1)
     a, small, safe = _features(deltas, *params.feat, tape)
     if tape is not None:
         tape.append((a, small, safe))
     for W, b, p, q in params.layers:
-        z = a @ W.T
+        z = a @ np.ascontiguousarray(W.T)
         z += b
         if tape is not None:
             tape.append(a)
         a = _rational(p, q, z, tape)
-    z = a @ params.head_W.T
-    z += params.head_b
+    z = params.head_W @ a.T  # the head's logits as two contiguous rows
+    z += params.head_b[:, None]
     w = _softmax(z)
     if tape is not None:
-        tape.append((a, w))
-    return w[: len(rows)].reshape(*lead, 2)
+        tape.append((a, w, n))
+    return w[:, :n]
 
 
 def _row_sum(*products):
@@ -313,9 +332,10 @@ def backward(params: NetParams, tape: list, d_weights) -> np.ndarray:
     """Gradient with respect to ``params.theta`` from a batch's ``forward`` tape.
 
     ``tape`` is the list that ``forward(params, stencils, tape)`` filled for
-    stencils of shape (n, 3), and ``d_weights`` (n, 2) is the loss gradient
-    with respect to its output.  The tape is consumed.  Each block's gradient
-    is written into its ``_slices(arch)`` slice of the returned vector.
+    n stencils (or ``_forward`` for n deltas), and ``d_weights`` is the loss
+    gradient with respect to its output, (n, 2), else ValueError.  The tape
+    is consumed.  Each block's gradient is written into its ``_slices(arch)``
+    slice of the returned vector.
     """
     grad = np.zeros_like(params.theta)
     at = _slices(params.arch)
@@ -323,11 +343,16 @@ def backward(params: NetParams, tape: list, d_weights) -> np.ndarray:
     def put(path, value):
         grad[at[path]] = np.ravel(value)
 
-    a, w = tape.pop()
-    if len(w) > len(d_weights):  # a one-row batch ran twice; the copy adds zeros
+    a, w, n = tape.pop()
+    d_weights = np.asarray(d_weights)
+    if d_weights.shape != (n, 2):
+        raise ValueError(f"d_weights has shape {d_weights.shape}, the tape's batch needs ({n}, 2)")
+    if w.shape[1] > n:  # a one-row batch ran twice; the copy adds zeros
         d_weights = np.concatenate([d_weights, np.zeros_like(d_weights)])
-    d_z = _row_sum(d_weights[:, 0] * w[:, 0], d_weights[:, 1] * w[:, 1])
-    d_z = w * (d_weights - d_z[:, None])
+    d_w = d_weights.T
+    d_z = w * (d_w - _row_sum(d_w[0] * w[0], d_w[1] * w[1]))
+    # as (n, 2) in C order: the bits of the K = n reductions below depend on it
+    d_z = np.ascontiguousarray(d_z.T)
     put(("head", "W"), d_z.T @ a)
     # d_z.sum(axis=0)'s bits: both add the rows one by one from +0.0, but
     # einsum without a call per row

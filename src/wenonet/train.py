@@ -1,9 +1,13 @@
 """Offline training: loss over ``ratnet.forward``/``backward``, Adam, sweeps, selection.
 
-The loss is written once, on the network's output weights; its gradient with
-respect to them is handed to ``ratnet.backward``, which owns every layer.
-``train_model`` computes the loss's per-row constants once per run and
-gathers them with each batch.
+The loss is written once, on the network's output weights as (2, n) rows; its
+gradient with respect to them, rows too, is handed transposed to
+``ratnet.backward``, which owns every layer.  ``train_model`` packs every
+per-row input of the loss once per run into a C-contiguous (N, 8) table
+(``_loss_table``: each stencil's four deltas, its target, its two
+interpolants and gamma**alpha), and each step gathers the batch's rows with
+one ``np.take`` and one transposing copy (``_batch``), then runs
+``ratnet._forward`` on the gathered deltas.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import numpy as np
 
 from .analysis import convergence_study
 from .funcspace import DEFAULT_NX_VALUES, EVAL_FAMILIES, Dataset, eval_function, philox_rng
-from .ratnet import NetParams, NNScheme, backward, forward, init_params
+from .ratnet import NetParams, NNScheme, _deltas, _forward, backward, forward, init_params
 from .reconstruct import IDEAL_WEIGHTS3, interpolants3
 
 #: Hyperparameter hull spanned by the published model variants.
@@ -113,14 +117,15 @@ def _loss_consts(s, hyper: LossHyper):
 def _loss_terms(w, y, consts, hyper: LossHyper):
     """L_r, L_d, and the gradient of ``L_r + beta_d * L_d`` with respect to ``w``.
 
-    ``w`` holds the network's pre-threshold weights (n, 2) on stencils whose
-    exact face values are ``y`` and whose ``_loss_consts`` are ``consts``.
+    ``w`` holds the network's pre-threshold weights as (2, n) rows, on
+    stencils whose exact face values are ``y`` and whose ``_loss_consts`` are
+    ``consts``; the gradient comes as (2, n) rows too.
     """
     n = len(y)
     if n == 0:
         raise ValueError("empty batch")
     i0, i1, g = consts
-    w0, w1 = w[:, 0], w[:, 1]
+    w0, w1 = w
     resid = w0 * i0 + w1 * i1 - y
     if not np.all(np.isfinite(resid)):
         bad = int(np.argmin(np.isfinite(resid)))
@@ -133,16 +138,16 @@ def _loss_terms(w, y, consts, hyper: LossHyper):
 
     d_r = (2.0 / n) * (g * resid)
     d_d = hyper.beta_d * (2.0 / n) * smooth
-    return loss_r, loss_d, np.column_stack([d_r * i0 + d_d * dev0, d_r * i1 + d_d * dev1])
+    return loss_r, loss_d, np.stack([d_r * i0 + d_d * dev0, d_r * i1 + d_d * dev1])
 
 
-def _loss_and_grad(params: NetParams, s, y, consts, hyper: LossHyper):
-    """``loss_and_grad`` on a batch whose ``_loss_consts`` are ``consts``."""
+def _loss_and_grad(params: NetParams, deltas, y, consts, hyper: LossHyper):
+    """``loss_and_grad`` on a batch of (4, n) ``ratnet._deltas`` whose ``_loss_consts`` are ``consts``."""
     tape = []
-    loss_r, loss_d, d_w = _loss_terms(forward(params, s, tape), y, consts, hyper)
+    loss_r, loss_d, d_w = _loss_terms(_forward(params, deltas, tape), y, consts, hyper)
     loss_l2 = float(np.sum(params.theta**2))
     loss = loss_r + hyper.beta_d * loss_d + hyper.beta_w * loss_l2
-    grad = backward(params, tape, d_w) + 2.0 * hyper.beta_w * params.theta
+    grad = backward(params, tape, d_w.T) + 2.0 * hyper.beta_w * params.theta
     parts = {"loss_r": loss_r, "loss_d": loss_d, "loss_l2": loss_l2}
     return loss, grad, parts
 
@@ -152,16 +157,47 @@ def loss_and_grad(params: NetParams, stencils, targets, hyper: LossHyper):
 
     The loss is ``L_r + beta_d * L_d + beta_w * |theta|^2`` with the hard
     thresholding of inference bypassed, matching how the network trains.
-    ``parts`` holds the unweighted L_r, L_d, and |theta|^2.
+    ``parts`` holds the unweighted L_r, L_d, and |theta|^2.  Raises
+    ValueError unless the stencils are (n, 3) and the targets (n,).
     """
     s, y = np.asarray(stencils, dtype=float), np.asarray(targets, dtype=float)
-    return _loss_and_grad(params, s, y, _loss_consts(s, hyper), hyper)
+    if s.ndim != 2 or s.shape[1] != 3 or y.shape != s.shape[:1]:
+        raise ValueError(f"stencils of shape {s.shape} and targets of shape {y.shape} "
+                         "are not (n, 3) and (n,)")
+    return _loss_and_grad(params, _deltas(s), y, _loss_consts(s, hyper), hyper)
+
+
+def _loss_table(stencils, targets, hyper: LossHyper):
+    """Every per-row input of the loss, one C-contiguous (n, 8) row per stencil.
+
+    A row holds the stencil's four ``ratnet._deltas``, its target, and its
+    ``_loss_consts``; ``_batch`` gathers rows of it.  The table starts on a
+    64-byte boundary, so each 64-byte row is one cache line of the gather.
+    """
+    n = len(targets)
+    buf = np.empty(8 * n + 7)
+    start = -buf.ctypes.data % 64 // buf.itemsize
+    table = buf[start : start + 8 * n].reshape(n, 8)
+    table[:, :4] = _deltas(stencils).T
+    table[:, 4] = targets
+    table[:, 5:] = np.transpose(_loss_consts(stencils, hyper))
+    return table
+
+
+def _batch(table, idx):
+    """The (4, n) deltas, targets and loss constants of a ``_loss_table``'s rows ``idx``.
+
+    One gather of whole rows, then one transposing copy, so each input is a
+    contiguous row.
+    """
+    rows = np.take(table, idx, axis=0).T.copy()
+    return rows[:4], rows[4], rows[5:]
 
 
 def evaluate_losses(params: NetParams, dataset: Dataset, hyper: LossHyper):
     """Reconstruction and deviation losses over a whole dataset (forward pass only)."""
     s, y = dataset.ubar, dataset.target
-    loss_r, loss_d, _ = _loss_terms(forward(params, s), y, _loss_consts(s, hyper), hyper)
+    loss_r, loss_d, _ = _loss_terms(forward(params, s).T, y, _loss_consts(s, hyper), hyper)
     return loss_r, loss_d
 
 
@@ -214,18 +250,16 @@ def train_model(dataset: Dataset, cfg: TrainConfig) -> TrainedModel:
     bs = min(cfg.batch_size, n)
     order = shuffler.permutation(n)
     pos = 0
-    # every per-row input of the loss, gathered per batch
-    rows = (dataset.ubar, dataset.target, *_loss_consts(dataset.ubar, cfg.hyper))
+    table = _loss_table(dataset.ubar, dataset.target, cfg.hyper)
     log = []
     skipped = 0
     for step in range(cfg.total_steps):
         if pos + bs > n:
             order = shuffler.permutation(n)
             pos = 0
-        idx = order[pos : pos + bs]
+        batch = _batch(table, order[pos : pos + bs])
         pos += bs
-        s, y, *consts = (np.take(v, idx, axis=0) for v in rows)
-        loss, grad, parts = _loss_and_grad(params, s, y, consts, cfg.hyper)
+        loss, grad, parts = _loss_and_grad(params, *batch, cfg.hyper)
         if loss > 1e6:
             raise RuntimeError(f"training diverged at step {step}: loss={loss:.3g}")
         lr = lr_schedule(step, cfg)

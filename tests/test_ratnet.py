@@ -3,6 +3,7 @@
 import copy
 import json
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -108,6 +109,20 @@ def test_forward_tape_keeps_bits_and_backward_matches_differences():
         assert fd == pytest.approx(grad @ v, rel=1e-6, abs=1e-9)
 
 
+@pytest.mark.parametrize("n, shape", [(5, (4, 2)), (5, (5, 1)), (5, (10,)), (2, (1, 2)), (1, (2, 2)), (1, (2,))])
+def test_backward_rejects_d_weights_of_another_batch(n, shape):
+    params = random_params(3)
+    s = rng.normal(size=(n, 3))
+    tape = []
+    rn.forward(params, s, tape)
+    with pytest.raises(ValueError, match=rf"{re.escape(str(shape))}.*\({n}, 2\)"):
+        rn.backward(params, tape, np.ones(shape))
+    # the one-row batch, which runs twice, takes its own (1, 2) gradient
+    tape = []
+    rn.forward(params, s[:1], tape)
+    assert rn.backward(params, tape, np.ones((1, 2))).shape == params.theta.shape
+
+
 def row_reference(params, stencils):
     """Features and weights with numpy's row reductions over a trailing axis.
 
@@ -171,7 +186,8 @@ def test_forward_column_arithmetic_matches_row_reductions():
             assert np.all(np.isnan(got_w[-3:]))  # NaN rows stay NaN pairs
         assert np.any(np.all(rn.rational_features(s, vanishing.feat) == 0.0, axis=-1))
 
-        # the softmax alone, on logits with infinities and NaN
+        # the softmax alone, on logits with infinities and NaN; it works on
+        # (2, n) rows, as the head hands them over
         z = np.concatenate(
             [
                 np.random.default_rng(5).normal(size=(200, 2)) * 10.0**k
@@ -181,7 +197,7 @@ def test_forward_column_arithmetic_matches_row_reductions():
         )
         e = np.exp(z - z.max(axis=-1, keepdims=True))
         assert np.array_equal(
-            rn._softmax(z), e / e.sum(axis=-1, keepdims=True), equal_nan=True
+            rn._softmax(z.T).T, e / e.sum(axis=-1, keepdims=True), equal_nan=True
         )
 
 
@@ -241,7 +257,7 @@ def reference_backward(params, stencils, d_weights):
         a = rn._rational(p, q, z)
     z = a @ params.head_W.T
     z += params.head_b
-    w = rn._softmax(z)
+    w = rn._softmax(z.T).T
     tape.append((a, w))
 
     grad = np.zeros_like(params.theta)

@@ -2,6 +2,7 @@
 
 import itertools
 import multiprocessing
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -108,6 +109,68 @@ def test_loss_rejects_empty_batch():
     params = noisy_params(0)
     with pytest.raises(ValueError):
         tr.loss_and_grad(params, np.empty((0, 3)), np.empty(0), tr.LossHyper())
+
+
+@pytest.mark.parametrize(
+    "s_shape, y_shape",
+    [((5, 3), (1,)), ((5, 3), (4,)), ((5, 3), (5, 1)), ((5, 2), (5,)), ((15,), (5,)), ((1, 5, 3), (5,))],
+)
+def test_loss_and_grad_rejects_stencils_and_targets_of_other_shapes(s_shape, y_shape):
+    params = noisy_params(0)
+    s, y = np.ones(s_shape), np.zeros(y_shape)
+    with pytest.raises(ValueError, match=rf"{re.escape(str(s_shape))}.*{re.escape(str(y_shape))}"):
+        tr.loss_and_grad(params, s, y, tr.LossHyper())
+
+
+def outcome(run):
+    """A call's result, or the type and message of the error it raised."""
+    try:
+        return run()
+    except (ValueError, RuntimeError) as e:
+        return type(e), str(e)
+
+
+def same_bits_or_error(a, b):
+    """Two ``outcome``s: the same error, or the same loss, parts and gradient
+    bit for bit (any NaN matching any NaN in the gradient)."""
+    if len(a) == 2 or len(b) == 2:  # an error
+        return a == b
+    (loss_a, grad_a, parts_a), (loss_b, grad_b, parts_b) = a, b
+    nan = np.isnan(grad_a)
+    return (
+        list(parts_a) == list(parts_b)
+        and np.array_equal(np.float64([loss_a, *parts_a.values()]).view(np.int64),
+                           np.float64([loss_b, *parts_b.values()]).view(np.int64))
+        and np.array_equal(nan, np.isnan(grad_b))
+        and np.array_equal(grad_a[~nan].view(np.int64), grad_b[~nan].view(np.int64))
+    )
+
+
+def test_loss_table_batches_keep_the_bits_of_loss_and_grad():
+    g = np.random.default_rng(11)
+    n = 2048 + 60
+    s = g.normal(size=(n, 3))
+    s[2048:2058] = g.normal(size=(10, 1))  # constant rows
+    s[2058:2068] *= 1e-300  # tiny deltas: the feature norm's zero branch on `vanishing`
+    s[2068:2078] = 1e300 * g.normal(size=(10, 1))  # constant at 1e300
+    s[2078:] *= 1e300
+    y = np.clip(g.normal(size=n) * np.abs(s).max(axis=1), s.min(axis=1), s.max(axis=1))
+    hyper = tr.LossHyper(alpha=0.1, beta_d=0.3, beta_w=1e-4)
+    table = tr._loss_table(s, y, hyper)
+    assert table.shape == (n, 8) and table.flags.c_contiguous
+    vanishing = noisy_params(5)
+    vanishing.feat[0][0] = 0.0
+    batches = [g.permutation(2048), [17], [2050], [2060], [2070], [2090],
+               np.arange(2048, 2058), np.arange(2058, 2068), np.arange(2068, 2078),
+               np.arange(2078, n), g.permutation(n)[:2048]]
+    with np.errstate(all="ignore"):
+        for params in (noisy_params(3), noisy_params(4, noise=0.3), vanishing):
+            for idx in batches:
+                idx = np.asarray(idx)
+                assert same_bits_or_error(
+                    outcome(lambda: tr._loss_and_grad(params, *tr._batch(table, idx), hyper)),
+                    outcome(lambda: tr.loss_and_grad(params, s[idx], y[idx], hyper)),
+                )
 
 
 def test_evaluate_losses_matches_loss_and_grad_parts():
